@@ -54,7 +54,7 @@ bench-experiments:
 		-benchout BENCH_experiments.json > /dev/null
 	@echo "wrote BENCH_experiments.json"
 
-# bench-scale sweeps the sharded engine's peers × shards grid up to the
+# bench-scale sweeps the engine's peers × shards grid up to the
 # 100k-peer scenario, plus a single 500k-peer cell at the largest shard
 # count, and archives the scaling curve (BENCH_scale.json: wall clock
 # split join/steady, peak heap, bytes/peer, events/s per cell). The
@@ -63,7 +63,7 @@ bench-experiments:
 # run. Long — an hour or more; the committed artifact comes from this
 # target on a quiet machine.
 bench-scale:
-	$(GO) run ./cmd/benchscale -peers 1000,10000,100000 -shards 0,1,2,4 \
+	$(GO) run ./cmd/benchscale -peers 1000,10000,100000 -shards 1,2,4 \
 		-xpeers 500000 -duration 300 -join 150 -v \
 		-out BENCH_scale.json -history BENCH_history.jsonl
 	$(GO) run ./cmd/benchgate -scale BENCH_scale.json -maxbpp 6000
@@ -80,18 +80,17 @@ bench-scale-profile:
 	@echo "wrote BENCH_simprof.jsonl"
 
 # bench-scale-smoke is the CI variant: small populations swept over
-# serial / S=1 / S=4 in seconds, written to their own file so the
-# committed full-grid BENCH_scale.json is never overwritten by a smoke
-# run. It enforces the determinism cross-check (sharded output == serial
-# output), fails if the pure epoch-machinery overhead at S=1 exceeds
-# 1.5× serial wall clock, holds the smoke cells to a generous absolute
+# S=1 / S=4 in seconds, written to their own file so the committed
+# full-grid BENCH_scale.json is never overwritten by a smoke run. It
+# enforces the determinism cross-check (S=4 output == S=1 output), holds
+# the smoke cells to a generous absolute
 # bytes-per-peer ceiling (small cells are fixed-cost-dominated, so the
 # ceiling only catches order-of-magnitude leaks), and re-asserts the
 # committed artifact's 100k/500k cells against the 6 KB/peer budget so a
 # regressed committed report fails CI even without a long re-run.
 bench-scale-smoke:
-	$(GO) run ./cmd/benchscale -peers 500,1000 -shards 0,1,4 -duration 120 -join 60 \
-		-gate 1.5 -out BENCH_scale_smoke.json
+	$(GO) run ./cmd/benchscale -peers 500,1000 -shards 1,4 -duration 120 -join 60 \
+		-out BENCH_scale_smoke.json
 	$(GO) run ./cmd/benchgate -scale BENCH_scale_smoke.json -maxbpp 120000
 	$(GO) run ./cmd/benchgate -scale BENCH_scale.json -maxbpp 6000
 	@echo "wrote BENCH_scale_smoke.json"

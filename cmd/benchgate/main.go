@@ -173,7 +173,7 @@ func gateScale(path, basePath string, maxBPP, bppTol float64, floor int) {
 
 	failed := false
 	if !r.IdenticalOutput {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL %s recorded a serial/sharded output divergence\n", path)
+		fmt.Fprintf(os.Stderr, "benchgate: FAIL %s recorded an output divergence across shard counts\n", path)
 		failed = true
 	}
 

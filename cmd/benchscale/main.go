@@ -2,20 +2,17 @@
 // peers × shards grid of chapter-3-style sessions through sim.Run and
 // records wall-clock (split into join-storm and steady-state shares),
 // peak heap, bytes-per-peer, and event throughput per cell — the
-// scaling curve of the sharded discrete-event engine. Cells with
-// shards=0 run the serial engine, so the grid carries its own baseline
-// and the report includes the S=1 sharding overhead ratio a PR gate can
-// key on (-gate). Serial and sharded cells at the same population are
-// also cross-checked for identical output (the engines' determinism
-// contract); -xpeers adds outsized single cells (e.g. 500k peers) at
-// the largest shard count only; and -chapter appends a chapter-3
-// experiment re-run at 100× the paper's population (200 → 20,000
-// peers). The sweep pins GOGC (-gogc, default 50) so peak-heap numbers
+// scaling curve of the discrete-event engine. Every cell is
+// cross-checked for identical output against the lowest shard count at
+// the same population (the engine's determinism contract); -xpeers adds
+// outsized single cells (e.g. 500k peers) at the largest shard count
+// only; and -chapter appends a chapter-3 experiment re-run at 100× the
+// paper's population (200 → 20,000 peers). The sweep pins GOGC (-gogc, default 50) so peak-heap numbers
 // are reproducible; cmd/benchgate consumes bytes_per_peer as a memory
 // regression gate.
 //
-//	benchscale -peers 1000,10000,100000 -shards 0,1,4 -xpeers 500000 -out BENCH_scale.json
-//	benchscale -peers 500,1000 -shards 0,1,4 -duration 120 -gate 1.5  # CI smoke
+//	benchscale -peers 1000,10000,100000 -shards 1,2,4 -xpeers 500000 -out BENCH_scale.json
+//	benchscale -peers 500,1000 -shards 1,4 -duration 120  # CI smoke
 package main
 
 import (
@@ -26,6 +23,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -38,7 +36,7 @@ import (
 // cell is one measured grid point.
 type cell struct {
 	Peers   int     `json:"peers"`
-	Shards  int     `json:"shards"` // 0 = serial engine
+	Shards  int     `json:"shards"`
 	WallSec float64 `json:"wall_sec"`
 	// JoinWallSec/SteadyWallSec split the wall clock at the instant the
 	// simulated clock crosses the join phase: the join storm is the
@@ -93,13 +91,9 @@ type report struct {
 	GOGC int `json:"gogc"`
 
 	Cells []cell `json:"cells"`
-	// IdenticalOutput is true when every sharded cell reproduced its
-	// serial sibling's metrics exactly (only populations that ran both).
+	// IdenticalOutput is true when every cell reproduced the metrics of
+	// the lowest-shard-count cell at its population exactly.
 	IdenticalOutput bool `json:"identical_output"`
-	// Shard overhead at S=1: wall(S=1) / wall(serial) at the smallest
-	// population that ran both engines. This is the pure cost of the
-	// epoch machinery with zero parallelism to pay for it.
-	S1OverheadRatio float64 `json:"s1_overhead_ratio,omitempty"`
 	// ProcessPeakRSSMB is the process high-water mark (VmHWM) — an
 	// upper bound across all cells, unlike the per-cell heap peaks.
 	ProcessPeakRSSMB float64 `json:"process_peak_rss_mb,omitempty"`
@@ -114,7 +108,7 @@ func main() {
 	var (
 		peersList  = flag.String("peers", "1000,10000,100000", "comma-separated overlay populations")
 		xpeersList = flag.String("xpeers", "", "extra populations run only at the largest shard count (big single cells without the full grid cost)")
-		shardsList = flag.String("shards", "0,1,2,4", "comma-separated shard counts (0 = serial engine)")
+		shardsList = flag.String("shards", "1,2,4", "comma-separated shard counts; the lowest is the determinism reference")
 		duration   = flag.Float64("duration", 300, "simulated session length (s)")
 		joinS      = flag.Float64("join", 150, "join phase length (s)")
 		rate       = flag.Float64("rate", 0.2, "stream rate (chunks/s)")
@@ -122,7 +116,6 @@ func main() {
 		routers    = flag.Int("routers", 784, "minimum router count")
 		seed       = flag.Int64("seed", 1, "seed")
 		chapter    = flag.Bool("chapter", false, "append the 100×-scale chapter-3 re-run (20k peers)")
-		gate       = flag.Float64("gate", 0, "fail if the S=1 overhead ratio exceeds this (0 = report only)")
 		out        = flag.String("out", "BENCH_scale.json", "output JSON path")
 		history    = flag.String("history", "", "append a summary line to this JSONL history file")
 		verbose    = flag.Bool("v", false, "progress to stderr during long cells")
@@ -159,6 +152,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	sort.Ints(shards) // the first cell per population is the reference
 	var xpeers []int
 	if *xpeersList != "" {
 		if xpeers, err = parseInts(*xpeersList); err != nil {
@@ -208,13 +202,9 @@ func main() {
 	// population at the biggest shard count (the cell worth attributing).
 	profPeers, profShards := maxInt(peers), maxInt(shards)
 
-	// serialRef remembers the serial cell per population for the
-	// identical-output cross-check and the S=1 overhead ratio.
-	type ref struct {
-		res  *sim.Result
-		wall float64
-	}
-	serialRef := map[int]ref{}
+	// refRes remembers the lowest-shard-count cell per population for the
+	// identical-output cross-check.
+	refRes := map[int]*sim.Result{}
 	rep.IdenticalOutput = true
 
 	for _, n := range peers {
@@ -254,16 +244,11 @@ func main() {
 				Loss:           res.Loss,
 				Stress:         res.Stress,
 			})
-			if s == 0 {
-				serialRef[n] = ref{res: res, wall: wall}
-			} else if base, ok := serialRef[n]; ok {
-				if !sameOutput(base.res, res) {
-					rep.IdenticalOutput = false
-					fmt.Fprintf(os.Stderr, "DETERMINISM VIOLATION: peers=%d shards=%d diverged from serial\n", n, s)
-				}
-				if s == 1 && rep.S1OverheadRatio == 0 {
-					rep.S1OverheadRatio = wall / base.wall
-				}
+			if base, ok := refRes[n]; !ok {
+				refRes[n] = res
+			} else if !sameOutput(base, res) {
+				rep.IdenticalOutput = false
+				fmt.Fprintf(os.Stderr, "DETERMINISM VIOLATION: peers=%d shards=%d diverged from shards=%d\n", n, s, shards[0])
 			}
 		}
 	}
@@ -298,7 +283,7 @@ func main() {
 	if *chapter {
 		// Chapter 3 evaluates 200 peers over a 10,000 s session; this is
 		// the same session (vdmsim defaults: 2,000 s join phase, 1 chunk/s,
-		// 5% churn) at 100× the population, on the sharded engine.
+		// 5% churn) at 100× the population, one shard per core.
 		const chapterPeers = 20_000
 		cfg := baseCfg(chapterPeers, runtime.GOMAXPROCS(0))
 		cfg.DurationS = 10_000
@@ -345,21 +330,16 @@ func main() {
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %s: %d cells", *out, len(rep.Cells))
-	if rep.S1OverheadRatio > 0 {
-		fmt.Printf(", S=1 overhead ×%.3f", rep.S1OverheadRatio)
-	}
-	fmt.Println()
+	fmt.Printf("wrote %s: %d cells\n", *out, len(rep.Cells))
 
 	if *history != "" {
 		line := map[string]any{
-			"kind":              "scale",
-			"git_sha":           rep.GitSHA,
-			"generated_at":      rep.GeneratedAt,
-			"cells":             len(rep.Cells),
-			"max_peers":         maxPeers(rep.Cells),
-			"identical_output":  rep.IdenticalOutput,
-			"s1_overhead_ratio": rep.S1OverheadRatio,
+			"kind":             "scale",
+			"git_sha":          rep.GitSHA,
+			"generated_at":     rep.GeneratedAt,
+			"cells":            len(rep.Cells),
+			"max_peers":        maxPeers(rep.Cells),
+			"identical_output": rep.IdenticalOutput,
 		}
 		if rep.Chapter != nil {
 			line["chapter_peers"] = rep.Chapter.Peers
@@ -371,10 +351,7 @@ func main() {
 	}
 
 	if !rep.IdenticalOutput {
-		fatal(fmt.Errorf("sharded output diverged from serial (see cells above)"))
-	}
-	if *gate > 0 && rep.S1OverheadRatio > *gate {
-		fatal(fmt.Errorf("S=1 overhead ratio %.3f exceeds gate %.3f", rep.S1OverheadRatio, *gate))
+		fatal(fmt.Errorf("output diverged across shard counts (see cells above)"))
 	}
 }
 
@@ -405,10 +382,11 @@ func runCell(cfg sim.Config) (*sim.Result, float64, float64, float64, error) {
 		}
 	}()
 	// Split the wall clock at the join-phase boundary by piggybacking on
-	// the progress callback; both engines invoke it in simulated-time
+	// the progress callback; the engine invokes it in simulated-time
 	// order, so the first callback at or past JoinPhaseS marks the storm's
-	// end. Progress granularity does not perturb event order (the engines'
-	// determinism tests run with and without it), only sampling precision.
+	// end. Progress granularity does not perturb event order (the
+	// engine's determinism tests run with and without it), only sampling
+	// precision.
 	start := time.Now()
 	var joinWall float64
 	if js := cfg.JoinPhaseS; js > 0 {

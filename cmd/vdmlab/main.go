@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -38,24 +37,13 @@ func main() {
 		mstRatio = flag.Bool("mst", false, "compute tree/MST cost ratio")
 		reps     = flag.Int("reps", 1, "repetitions with derived seeds; metrics are averaged")
 		jobs     = flag.Int("j", 0, "parallel workers for repetitions (0 = all cores, 1 = serial)")
-		shards   = flag.Int("shards", -1, "shard count per repetition (-1 = auto, 0 = serial)")
+		shards   = flag.Int("shards", 1, "event-queue shards per repetition; S > 1 runs S parallel workers (identical results at every S)")
 		progress = flag.Float64("progress", 0, "print progress to stderr every N simulated seconds (single rep only)")
 		profOut  = flag.String("profileout", "", "write the flight-recorder JSONL stream here (single rep only)")
 		profS    = flag.Float64("profile", 0, "flight-recorder flush interval in simulated seconds (0 = default 10; needs -profileout)")
 	)
 	flag.Parse()
 
-	// Auto shard selection: a single repetition gets one shard per core;
-	// multiple repetitions already saturate the cores via parallel.Map,
-	// so each rep stays serial rather than oversubscribing.
-	nshards := *shards
-	if nshards < 0 {
-		if *reps > 1 {
-			nshards = 0
-		} else {
-			nshards = runtime.GOMAXPROCS(0)
-		}
-	}
 	var progressFn func(sim.ProgressInfo)
 	if *progress > 0 && *reps == 1 {
 		start := time.Now()
@@ -89,7 +77,7 @@ func main() {
 		JoinPhase:      *joinS,
 		DataRate:       *rate,
 		MST:            *mstRatio,
-		Shards:         nshards,
+		Shards:         *shards,
 		Progress:       progressFn,
 		ProgressEveryS: *progress,
 		Profile:        profile,

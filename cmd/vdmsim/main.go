@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"vdm/internal/obs"
@@ -22,7 +21,7 @@ import (
 func main() {
 	var (
 		protocol = flag.String("protocol", "vdm", "vdm | hmtp | btp | nice | random")
-		metric   = flag.String("metric", "delay", "delay | loss | bandwidth")
+		metric   = flag.String("metric", "delay", "delay | loss | loss-est | bandwidth")
 		nodes    = flag.Int("nodes", 200, "overlay population")
 		churn    = flag.Float64("churn", 5, "churn percent per interval")
 		degMin   = flag.Int("degmin", 2, "minimum node degree")
@@ -42,24 +41,15 @@ func main() {
 		eventsTo = flag.String("events", "", "write VDM protocol trace events as JSONL to this file")
 		samples  = flag.Bool("samples", false, "print the per-measurement time series")
 		mstRatio = flag.Bool("mst", false, "compute tree/MST cost ratio")
-		shards   = flag.Int("shards", -1, "shard count for the parallel engine (-1 = one per core, 0 = serial)")
+		shards   = flag.Int("shards", 1, "event-queue shards; S > 1 runs S parallel workers (identical results at every S)")
 		progress = flag.Float64("progress", 0, "print progress to stderr every N simulated seconds (0 = off)")
-		cpPath   = flag.String("checkpoint", "", "checkpoint file for the sharded engine (resumes if present)")
+		cpPath   = flag.String("checkpoint", "", "checkpoint file (resumes if present)")
 		cpEvery  = flag.Float64("checkpoint-every", 0, "simulated seconds between checkpoints (0 = every measurement)")
 		profOut  = flag.String("profileout", "", "write the flight-recorder JSONL stream here (enables profiling)")
 		profS    = flag.Float64("profile", 0, "flight-recorder flush interval in simulated seconds (0 = default 10; needs -profileout)")
 	)
 	flag.Parse()
 
-	nshards := *shards
-	if nshards < 0 {
-		nshards = runtime.GOMAXPROCS(0)
-		if *metric == "loss-est" {
-			// The estimated-loss metric draws from a shared stream in
-			// query order; only the serial engine runs it.
-			nshards = 0
-		}
-	}
 	var progressFn func(sim.ProgressInfo)
 	if *progress > 0 {
 		start := time.Now()
@@ -140,7 +130,7 @@ func main() {
 		RouterJitterSigma: *jitter,
 		Underlay:          sim.Router,
 		ComputeMST:        *mstRatio,
-		Shards:            nshards,
+		Shards:            *shards,
 		Progress:          progressFn,
 		ProgressEveryS:    *progress,
 		Profile:           profile,

@@ -216,12 +216,12 @@ func (s *Sim) AfterTimer(d float64, fn func(any), arg any) {
 // Stop aborts a Run in progress after the current event returns.
 func (s *Sim) Stop() { s.stopped = true }
 
-// SetSeqBase raises the sequence counter to at least base. The sharded
-// engine uses this to separate "setup" events (tick starter, scripted
-// scenario actions — scheduled before the run starts) from everything
-// scheduled at runtime: with all setup sequence numbers below base, a
-// barrier can fire exactly the setup-band events at an instant (RunBand)
-// in the same relative order the serial engine would.
+// SetSeqBase raises the sequence counter to at least base. The simulator
+// uses this to separate "setup" events (tick starter, scripted scenario
+// actions — scheduled before the run starts) from everything scheduled at
+// runtime: with all setup sequence numbers below base, a barrier can fire
+// exactly the setup-band events at an instant (RunBand), then run its own
+// measurements before the runtime events at that instant.
 func (s *Sim) SetSeqBase(base uint64) {
 	if s.seq < base {
 		s.seq = base
@@ -275,7 +275,7 @@ func (s *Sim) Run(until float64) {
 }
 
 // RunBefore fires every event strictly earlier than t and leaves the
-// clock at t. It is the epoch step of the sharded engine: events at
+// clock at t. It is the epoch step of the simulator: events at
 // exactly t belong to the next epoch (or to the barrier band, see
 // RunBand).
 func (s *Sim) RunBefore(t float64) {
@@ -295,9 +295,9 @@ func (s *Sim) RunBefore(t float64) {
 // RunBand fires every event strictly earlier than t, plus the events at
 // exactly t whose sequence number is below seqBelow (the setup band — see
 // SetSeqBase), and leaves the clock at t. Runtime events scheduled at
-// exactly t stay queued for the next epoch, which is precisely how the
-// serial engine interleaves them: setup events at an instant carry lower
-// sequence numbers than anything scheduled while the run is in flight.
+// exactly t stay queued for the next epoch: setup events at an instant
+// carry lower sequence numbers than anything scheduled while the run is
+// in flight, so they fire first, as one Run would fire them.
 func (s *Sim) RunBand(t float64, seqBelow uint64) {
 	s.stopped = false
 	for len(s.events) > 0 && !s.stopped {

@@ -103,12 +103,11 @@ type Config struct {
 	MST       bool
 	Validate  bool
 
-	// Shards selects the sim engine (see sim.Config.Shards): 0 runs the
-	// serial engine, S >= 1 the sharded engine with S shards. Results are
-	// byte-identical either way.
+	// Shards is the event-queue shard count (see sim.Config.Shards; 0 and
+	// 1 both mean one). Results are byte-identical at every count.
 	Shards int
 	// Progress/ProgressEveryS forward to sim.Config for periodic
-	// progress reporting (both engines).
+	// progress reporting.
 	Progress       func(sim.ProgressInfo)
 	ProgressEveryS float64
 	// Profile forwards to sim.Config.Profile: the simulation flight

@@ -1,11 +1,12 @@
 // Package live runs protocol peers on the real clock. The simulator
-// executes every peer callback on one virtual-time event loop; here each
+// executes every peer callback on a virtual-time event loop (one per
+// shard); here each
 // peer gets its own mailbox goroutine that serializes message handling and
 // timer callbacks, preserving the single-threaded execution contract the
 // protocol state machines were written against, while different peers run
 // genuinely concurrently. Messages travel over an internal/transport
-// Transport (in-memory loopback or UDP) instead of the simulated
-// overlay.Network.
+// Transport (in-memory loopback or UDP) instead of the simulator's
+// overlay.Router.
 package live
 
 import (

@@ -51,8 +51,8 @@ func (o Options) withDefaults() Options {
 // RunInfo is the run shape the engine hands the recorder for the header
 // record.
 type RunInfo struct {
-	Engine     string // "serial" | "sharded"
-	Shards     int    // 0 for the serial engine
+	Engine     string // "sharded" (the simulator's one engine)
+	Shards     int    // event-queue shards
 	Pool       int    // scenario host-slot pool size
 	LookaheadS float64
 	Protocol   string
@@ -62,7 +62,7 @@ type RunInfo struct {
 }
 
 // ShardState is one event queue's cumulative state, read by the engine at
-// a flush barrier. The serial engine passes a single entry.
+// a flush barrier, one entry per shard.
 type ShardState struct {
 	Processed    uint64 // events fired so far
 	ProcessedArg uint64 // arg-form (delivery) events fired so far
@@ -128,8 +128,12 @@ type Recorder struct {
 	peers []uint64
 	edges map[uint64]uint64
 
-	lastT     float64
+	lastT float64
+	// nextFlush is flushIdx·EveryS: boundaries are indexed by an integer
+	// count so repeated flushes never drift off the multiples of EveryS
+	// (the engine cuts a barrier at each one).
 	nextFlush float64
+	flushIdx  float64
 	lastWall  time.Time
 	recIdx    int
 
@@ -137,7 +141,7 @@ type Recorder struct {
 }
 
 // NewRecorder builds a recorder for the given run and writes the header
-// record. queues is the number of event queues (shards; 1 for serial).
+// record. queues is the number of event queues (shards).
 func NewRecorder(opts Options, info RunInfo, queues int) *Recorder {
 	opts = opts.withDefaults()
 	r := &Recorder{
@@ -151,6 +155,7 @@ func NewRecorder(opts Options, info RunInfo, queues int) *Recorder {
 		peers:      make([]uint64, info.Pool),
 		edges:      make(map[uint64]uint64),
 		nextFlush:  opts.EveryS,
+		flushIdx:   1,
 		lastWall:   time.Now(),
 	}
 	for i := 0; i < queues; i++ {
@@ -180,10 +185,7 @@ func NewRecorder(opts Options, info RunInfo, queues int) *Recorder {
 // Probe returns queue i's send tap, to attach via SetSendProbe.
 func (r *Recorder) Probe(i int) *Probe { return r.probes[i] }
 
-// IntervalS reports the resolved flush interval.
-func (r *Recorder) IntervalS() float64 { return r.opts.EveryS }
-
-// NoteEpoch folds one sharded-engine epoch into the current interval:
+// NoteEpoch folds one engine epoch into the current interval:
 // the horizon advance (simulated seconds the round covered), the
 // cross-shard messages exchanged at its barrier — and, on timing-sampled
 // rounds (epochWallNS >= 0), the round's wall time and each shard's busy
@@ -210,6 +212,9 @@ func (r *Recorder) NoteEpoch(advS float64, moved int, epochWallNS int64, busyDel
 // Due reports whether simulated time t has crossed the next flush
 // boundary.
 func (r *Recorder) Due(t float64) bool { return t >= r.nextFlush }
+
+// NextFlush returns the next flush boundary in simulated seconds.
+func (r *Recorder) NextFlush() float64 { return r.nextFlush }
 
 // Flush cuts the interval record ending at simulated time t. states are
 // the cumulative per-queue engine readings; protoFn, when non-nil, is
@@ -314,7 +319,8 @@ func (r *Recorder) Flush(t float64, states []ShardState, protoFn func() Proto) {
 	r.lastT, r.lastWall = t, now
 	r.recIdx++
 	for r.nextFlush <= t {
-		r.nextFlush += r.opts.EveryS
+		r.flushIdx++
+		r.nextFlush = r.flushIdx * r.opts.EveryS
 	}
 }
 

@@ -3,10 +3,10 @@
 // a versioned JSONL stream strictly separate from a session's Result.
 //
 // A recording is one header record followed by interval records. The
-// serial engine flushes one record per fixed span of simulated time; the
-// sharded engine accumulates per-epoch statistics (horizon advance,
-// per-shard busy and barrier-wait time, cross-shard message volume) and
-// flushes on the first barrier past each interval boundary. Everything in
+// engine accumulates per-epoch statistics (horizon advance, per-shard
+// busy and barrier-wait time, cross-shard message volume) and flushes one
+// record per fixed span of simulated time, at a barrier it cuts on each
+// interval boundary. Everything in
 // a record is observational — counter deltas, queue depths, sampled heap,
 // message mix, top-K hot-peer/hot-edge attribution — so enabling the
 // recorder never changes a session's event history: profiled and
@@ -40,16 +40,17 @@ const (
 type Header struct {
 	V    int    `json:"v"`
 	Kind string `json:"kind"` // "header"
-	// Engine is "serial" or "sharded".
+	// Engine is "sharded". Recordings from before the simulator had a
+	// single engine may also say "serial" (Shards 0, no shard rows).
 	Engine string `json:"engine"`
-	// Shards is the shard count (0 for the serial engine).
+	// Shards is the shard count.
 	Shards int `json:"shards"`
 	// Pool is the scenario's host-slot pool size (peer ids are < Pool).
 	Pool int `json:"pool"`
 	// IntervalS is the configured flush interval in simulated seconds.
 	IntervalS float64 `json:"interval_s"`
-	// LookaheadS is the sharded engine's conservative lookahead window
-	// (omitted for the serial engine and for S=1, where it is unbounded).
+	// LookaheadS is the engine's conservative lookahead window
+	// (omitted for S=1, where it is unbounded).
 	LookaheadS float64 `json:"lookahead_s,omitempty"`
 	Protocol   string  `json:"protocol,omitempty"`
 	Nodes      int     `json:"nodes,omitempty"`

@@ -32,7 +32,7 @@ func TestRecordSchemaGolden(t *testing.T) {
 		Seed:       42,
 		DurationS:  600,
 	})
-	// A serial-style minimal record: every sharded/optional field omitted.
+	// A minimal record: every shard/optional field omitted.
 	w.WriteRecord(Record{
 		T: 10, DT: 10, WallMS: 12.5,
 		Events: 1000, Deliveries: 800, Timers: 200, EventsPerSec: 80000,

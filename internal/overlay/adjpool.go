@@ -22,7 +22,7 @@ package overlay
 // swapping maps for the pool cannot change simulation output.
 //
 // Concurrency: a pool is confined to one Bus's execution context (the
-// serial event loop, one shard's loop, or one live peer's mailbox);
+// shard's event loop, or one live peer's mailbox);
 // there is no locking.
 type AdjPool struct {
 	chunks []adjChunk

@@ -3,15 +3,17 @@ package overlay
 // Bus is the substrate a Peer runs on: message passing between node ids
 // plus the clock and timers that drive the protocol state machines. Two
 // implementations exist: the discrete-event *Network in this package
-// (virtual time, simulated delays) and the real-clock per-peer bus of
-// internal/live (wall time, real sockets). Protocol code is written once
-// against this interface and runs unchanged in both worlds.
+// (virtual time, simulated delays; one per shard of a Router) and the
+// real-clock per-peer bus of internal/live (wall time, real sockets).
+// Protocol code is written once against this interface and runs unchanged
+// in both worlds.
 //
 // Concurrency contract: every Bus callback — message delivery through a
 // Handler and timer callbacks passed to After — fires serialized with
-// respect to the owning peer. The simulator guarantees this globally
-// (single-threaded event loop); the live runtime guarantees it per peer
-// (one mailbox goroutine each). Protocol state therefore needs no locks.
+// respect to the owning peer. The simulator guarantees this per shard
+// (one single-threaded event loop owns each peer); the live runtime
+// guarantees it per peer (one mailbox goroutine each). Protocol state
+// therefore needs no locks.
 type Bus interface {
 	// Send transmits m from → to. It reports whether the destination was
 	// known/registered at send time (a transport-level failure signal,

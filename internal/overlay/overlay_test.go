@@ -5,7 +5,6 @@ import (
 
 	"vdm/internal/eventq"
 	"vdm/internal/flow"
-	"vdm/internal/rng"
 	"vdm/internal/underlay"
 )
 
@@ -39,7 +38,7 @@ func newRig(t *testing.T, rtt [][]float64) *rig {
 	sim := eventq.New()
 	r := &rig{
 		sim:   sim,
-		net:   NewNetwork(sim, underlay.NewStatic(rtt), rng.New(1)),
+		net:   NewNetwork(sim, underlay.NewStatic(rtt), 1),
 		peers: make(map[NodeID]*testPeer),
 	}
 	return r
@@ -122,7 +121,7 @@ func TestNetworkDataLoss(t *testing.T) {
 	rtt := uniformRTT(2, 10)
 	r := newRig(t, rtt)
 	// Force certain loss on the pair.
-	u := r.net.U.(*underlay.Static)
+	u := r.net.r.u.(*underlay.Static)
 	u.LossP = [][]float64{{0, 1}, {1, 0}}
 	r.addPeer(0, 1, true)
 	b := r.addPeer(1, 1, false)
@@ -146,13 +145,13 @@ func TestOverheadRatio(t *testing.T) {
 	r := newRig(t, uniformRTT(2, 10))
 	r.addPeer(0, 1, true)
 	r.addPeer(1, 1, false)
-	if r.net.Overhead() != 0 {
+	if r.net.Counters().Overhead() != 0 {
 		t.Fatal("overhead before any data should be 0")
 	}
 	r.net.Send(0, 1, DataChunk{Seq: 0})
 	r.net.Send(0, 1, DataChunk{Seq: 1})
 	r.net.Send(0, 1, Ping{Token: 1})
-	if got := r.net.Overhead(); got != 0.5 {
+	if got := r.net.Counters().Overhead(); got != 0.5 {
 		t.Fatalf("overhead = %v, want 0.5", got)
 	}
 }

@@ -8,13 +8,13 @@ import (
 // Keyed (counter-based) draws.
 //
 // A Stream hands out values in call order, which makes any consumer shared
-// between concurrently executing parties order-sensitive: the sharded
-// simulation engine would observe different values depending on how shards
+// between concurrently executing parties order-sensitive: the simulation
+// engine would observe different values depending on how shards
 // interleave. The functions below instead compute each value as a pure
 // function of (seed, edge a→b, stream id, draw index): as long as each
 // party advances its own draw indices deterministically, the values it
 // sees are independent of global execution order — which is what makes a
-// sharded run byte-identical to a serial one.
+// run byte-identical at every shard count.
 
 // DeriveSeed returns the seed Derive(seed, name) would build its stream
 // from, without constructing the stream. It lets stateless keyed draws

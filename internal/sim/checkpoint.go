@@ -1,12 +1,14 @@
-// Checkpoint/resume for the sharded engine.
+// Checkpoint/resume.
 //
-// Because a sharded run is deterministic, a checkpoint does not need to
-// serialize protocol state, queue contents or RNG positions: it records
-// only the measurement samples collected so far plus a state fingerprint.
-// Resuming replays the run from t=0 — deterministically reproducing every
-// event — but skips the measurement bodies up to the checkpointed barrier
-// (the expensive O(peers²) metric collection, which is what dominates
-// large sessions), then verifies the fingerprint before continuing live.
+// Because a run is deterministic, a checkpoint does not need to serialize
+// protocol state, queue contents or RNG positions: it records only the
+// measurement samples collected so far plus a state fingerprint. Resuming
+// replays the run from t=0 — deterministically reproducing every event —
+// but skips the sample collection up to the checkpointed barrier (the
+// expensive O(peers²) metric pass, which is what dominates large
+// sessions), then verifies the fingerprint before continuing live.
+// Validation still runs on the replayed barriers, so a resumed run queues
+// the same follow-up re-checks and reports the same invariant errors.
 // A fingerprint mismatch means the config, code or scenario drifted since
 // the checkpoint was written, and the run fails loudly rather than emit
 // samples from two different histories.
@@ -41,7 +43,7 @@ type checkpointer struct {
 // when checkpointing is off) and, when a compatible checkpoint already
 // exists at the path, the resume state. An absent, unreadable or
 // incompatible file just means a fresh run — it will be overwritten.
-func (ss *shardedSession) loadCheckpoint() (*checkpointer, *checkpointFile, error) {
+func (ss *session) loadCheckpoint() (*checkpointer, *checkpointFile, error) {
 	if ss.cfg.CheckpointPath == "" {
 		return nil, nil, nil
 	}
@@ -68,7 +70,7 @@ func (ss *shardedSession) loadCheckpoint() (*checkpointer, *checkpointFile, erro
 // the seed and workload knobs plus the resolved scenario script. The
 // shard count is deliberately excluded — runs are byte-identical at every
 // S, so a checkpoint written at one shard count resumes at another.
-func (ss *shardedSession) identity() uint64 {
+func (ss *session) identity() uint64 {
 	h := fnv.New64a()
 	cfg := ss.cfg
 	fmt.Fprintf(h, "v%d|seed=%d|proto=%s|metric=%s|underlay=%s|nodes=%d|",
@@ -78,6 +80,10 @@ func (ss *shardedSession) identity() uint64 {
 		math.Float64bits(cfg.CtrlLossProb), math.Float64bits(cfg.LinkLossMax),
 		math.Float64bits(cfg.RouterJitterSigma), cfg.RouterMin,
 		math.Float64bits(cfg.Gamma), cfg.DegreeMin, cfg.DegreeMax, math.Float64bits(cfg.AvgDegree))
+	if cfg.Validate {
+		// Follow-up re-checks are controller events the state hash counts.
+		fmt.Fprint(h, "validate|")
+	}
 	fmt.Fprintf(h, "pool=%d|", ss.scn.PoolSize)
 	for _, ev := range ss.scn.Events {
 		fmt.Fprintf(h, "e%x,%t,%d|", math.Float64bits(ev.T), ev.Join, ev.Slot)
@@ -93,7 +99,7 @@ func (ss *shardedSession) identity() uint64 {
 // events, the traffic counters, and each live peer's tree position and
 // receive count. Per-shard clocks and queue splits are excluded so a
 // checkpoint resumes across different shard counts.
-func (ss *shardedSession) stateHash() uint64 {
+func (ss *session) stateHash() uint64 {
 	h := fnv.New64a()
 	var processed uint64
 	var pending int
@@ -116,7 +122,7 @@ func (ss *shardedSession) stateHash() uint64 {
 
 // verifyResume checks, at the checkpointed barrier, that the replay
 // reproduced the recorded history exactly.
-func (ss *shardedSession) verifyResume(f *checkpointFile, t float64, mIdx int) error {
+func (ss *session) verifyResume(f *checkpointFile, t float64, mIdx int) error {
 	if t != f.T {
 		return fmt.Errorf("sim: checkpoint resume expected a barrier at t=%v but reached t=%v (scenario drift?)", f.T, t)
 	}
@@ -132,7 +138,7 @@ func (ss *shardedSession) verifyResume(f *checkpointFile, t float64, mIdx int) e
 }
 
 // write atomically replaces the checkpoint file.
-func (cp *checkpointer) write(ss *shardedSession, t float64, mIdx int) error {
+func (cp *checkpointer) write(ss *session, t float64, mIdx int) error {
 	f := checkpointFile{
 		Version:    checkpointVersion,
 		Identity:   cp.identity,

@@ -8,13 +8,12 @@ import (
 )
 
 // TestCheckpointGoldenFingerprint pins the checkpoint identity and final
-// state hash of one fixed sharded session to golden values. The parity
-// tests prove serial and sharded engines agree with each other; this
-// test proves the whole stack agrees with its own history — any change
-// that perturbs the event sequence (an RNG draw added or reordered, a
-// timer scheduled differently, a metric computed in another order) moves
-// the state hash and fails here, even if it moves serial and sharded in
-// lockstep. The memory-layout work (slab-allocated timer and scenario
+// state hash of one fixed two-shard session to golden values. The
+// parity tests prove every shard count agrees with S=1; this test proves
+// the whole stack agrees with its own history — any change that perturbs
+// the event sequence (an RNG draw added or reordered, a timer scheduled
+// differently, a metric computed in another order) moves the state hash
+// and fails here, even if it moves every shard count in lockstep. The memory-layout work (slab-allocated timer and scenario
 // records, compacted underlay caches, narrowed flow windows) was landed
 // against these exact values.
 //

@@ -15,16 +15,20 @@ import (
 type ProgressInfo struct {
 	T            float64 // virtual time reached
 	Events       uint64  // cumulative events fired
-	Epochs       uint64  // cumulative epoch barriers (0 on the serial engine)
+	Epochs       uint64  // cumulative epoch barriers
 	EventsPerSec float64 // wall-clock event throughput since the previous callback
 }
 
 // progressReporter rate-limits Progress callbacks and computes the
-// wall-clock event throughput between them. A nil reporter is inert.
+// wall-clock event throughput between them. Report boundaries are the
+// multiples of the reporting step, indexed by an integer count so that
+// they never drift (the controller cuts a barrier at each one). A nil
+// reporter is inert.
 type progressReporter struct {
 	fn         func(ProgressInfo)
-	everyS     float64
-	lastT      float64
+	every      bool    // ProgressEveryS = 0: report at every barrier
+	step       float64 // boundary spacing in simulated seconds
+	k          float64 // index of the next boundary
 	lastWall   time.Time
 	lastEvents uint64
 }
@@ -33,16 +37,35 @@ func newProgressReporter(cfg Config) *progressReporter {
 	if cfg.Progress == nil {
 		return nil
 	}
-	return &progressReporter{
+	p := &progressReporter{
 		fn:       cfg.Progress,
-		everyS:   cfg.ProgressEveryS,
-		lastT:    math.Inf(-1),
+		step:     cfg.ProgressEveryS,
+		k:        1,
 		lastWall: time.Now(),
 	}
+	if p.step <= 0 {
+		p.every, p.step = true, 1
+	}
+	return p
+}
+
+// nextAt returns the next report boundary (+Inf when reporting is off).
+func (p *progressReporter) nextAt() float64 {
+	if p == nil {
+		return math.Inf(1)
+	}
+	return p.k * p.step
 }
 
 func (p *progressReporter) report(t float64, events, epochs uint64) {
-	if p == nil || t-p.lastT < p.everyS {
+	if p == nil {
+		return
+	}
+	due := t >= p.nextAt()
+	if due {
+		p.k = nextBoundary(t, p.step)
+	}
+	if !due && !p.every {
 		return
 	}
 	now := time.Now()
@@ -51,17 +74,27 @@ func (p *progressReporter) report(t float64, events, epochs uint64) {
 		rate = float64(events-p.lastEvents) / d
 	}
 	p.fn(ProgressInfo{T: t, Events: events, Epochs: epochs, EventsPerSec: rate})
-	p.lastT, p.lastWall, p.lastEvents = t, now, events
+	p.lastWall, p.lastEvents = now, events
+}
+
+// nextBoundary returns the index k of the first multiple k·step strictly
+// after t.
+func nextBoundary(t, step float64) float64 {
+	k := math.Floor(t/step) + 1
+	for k*step <= t {
+		k++
+	}
+	return k
 }
 
 // newSessionRecorder builds the flight recorder for a session, or nil when
 // profiling is off (no Profile options or no destination writer).
-func newSessionRecorder(cfg Config, scn *scenario.Scenario, engine string, shards int, lookaheadS float64, queues int) *simprof.Recorder {
+func newSessionRecorder(cfg Config, scn *scenario.Scenario, shards int, lookaheadS float64) *simprof.Recorder {
 	if cfg.Profile == nil || cfg.Profile.W == nil {
 		return nil
 	}
 	return simprof.NewRecorder(*cfg.Profile, simprof.RunInfo{
-		Engine:     engine,
+		Engine:     "sharded",
 		Shards:     shards,
 		Pool:       scn.PoolSize,
 		LookaheadS: lookaheadS,
@@ -69,7 +102,7 @@ func newSessionRecorder(cfg Config, scn *scenario.Scenario, engine string, shard
 		Nodes:      cfg.Nodes,
 		Seed:       cfg.Seed,
 		DurationS:  cfg.DurationS,
-	}, queues)
+	}, shards)
 }
 
 // queueState snapshots one event queue for a profiler flush.
@@ -85,8 +118,8 @@ func queueState(q *eventq.Sim) simprof.ShardState {
 // protoSample takes the flight recorder's protocol-level sample: live
 // population and attachment, session-cumulative orphan/reconnect counts,
 // and a tree cost/depth pass over the reachable peers (the same memoized
-// depth walk finalTree uses). all may contain nil entries (the sharded
-// engine's preallocated membership roster).
+// depth walk finalTree uses). all may contain nil entries (the
+// preallocated membership roster).
 func protoSample(views []overlay.TreeView, all []*overlay.Peer, u underlay.Underlay) simprof.Proto {
 	var p simprof.Proto
 	p.Alive = len(views)
@@ -153,59 +186,6 @@ func protoSample(views []overlay.TreeView, all []*overlay.Peer, u underlay.Under
 	return p
 }
 
-// drive runs the serial event loop to the session end. Without profiling
-// or progress reporting it is the single inclusive Run it always was; with
-// either, it steps the queue through interval boundaries — an identical
-// total event order (Run(t1); Run(t2) fires exactly the events one
-// Run(t2) would, in the same sequence), cutting a flight-recorder record
-// and/or a progress callback at each boundary.
-func (s *session) drive(cfg Config, scn *scenario.Scenario) error {
-	rec := newSessionRecorder(cfg, scn, "serial", 0, math.Inf(1), 1)
-	prog := newProgressReporter(cfg)
-	if rec == nil && prog == nil {
-		s.sim.Run(cfg.DurationS)
-		return nil
-	}
-	if rec != nil {
-		s.net.SetSendProbe(rec.Probe(0))
-		defer s.net.SetSendProbe(nil)
-	}
-
-	step := cfg.DurationS
-	if rec != nil {
-		step = rec.IntervalS()
-	}
-	if prog != nil {
-		if prog.everyS > 0 {
-			if prog.everyS < step {
-				step = prog.everyS
-			}
-		} else if step > 1 {
-			step = 1
-		}
-	}
-
-	for t := step; ; t += step {
-		if t > cfg.DurationS {
-			t = cfg.DurationS
-		}
-		s.sim.Run(t)
-		if rec != nil && (rec.Due(t) || t == cfg.DurationS) {
-			rec.Flush(t, []simprof.ShardState{queueState(s.sim)}, func() simprof.Proto {
-				return protoSample(s.views(), s.all, s.u)
-			})
-		}
-		prog.report(t, s.sim.Processed(), 0)
-		if t == cfg.DurationS {
-			break
-		}
-	}
-	if rec != nil {
-		return rec.Close()
-	}
-	return nil
-}
-
 // epochSampleEvery is the flight recorder's epoch-timing sample rate:
 // wall clocks are read on every Nth barrier round and the busy/wait
 // totals scaled back up at flush. The engine runs hundreds of thousands
@@ -214,7 +194,7 @@ func (s *session) drive(cfg Config, scn *scenario.Scenario) error {
 // still averages thousands of sampled rounds.
 const epochSampleEvery = 8
 
-// shardProf couples the flight recorder to the sharded controller: it
+// shardProf couples the flight recorder to the engine controller: it
 // tracks per-worker cumulative busy-time snapshots between barriers and
 // cuts records at flush barriers. A nil *shardProf is inert, so the
 // controller calls it unconditionally.
@@ -239,10 +219,19 @@ func newShardProf(rec *simprof.Recorder, shards int) *shardProf {
 	}
 }
 
+// nextFlush returns the recorder's next flush boundary (+Inf when
+// profiling is off).
+func (sp *shardProf) nextFlush() float64 {
+	if sp == nil {
+		return math.Inf(1)
+	}
+	return sp.rec.NextFlush()
+}
+
 // beginEpoch decides whether the coming barrier round is timing-sampled
 // and publishes the decision to the workers (via ss.timeEpoch, ordered by
 // the command-channel sends). Nil-safe: off means never sampled.
-func (sp *shardProf) beginEpoch(ss *shardedSession) bool {
+func (sp *shardProf) beginEpoch(ss *session) bool {
 	if sp == nil {
 		return false
 	}
@@ -264,7 +253,7 @@ func epochWall(timed bool, t0 time.Time) int64 {
 // noteEpoch folds one barrier round ending at virtual time t. Worker
 // busy-time fields are read after the done-channel handshake, which orders
 // the reads after the workers' writes.
-func (sp *shardProf) noteEpoch(ss *shardedSession, t float64, moved int, wallNS int64) {
+func (sp *shardProf) noteEpoch(ss *session, t float64, moved int, wallNS int64) {
 	if sp == nil {
 		return
 	}
@@ -286,7 +275,7 @@ func (sp *shardProf) noteEpoch(ss *shardedSession, t float64, moved int, wallNS 
 
 // maybeFlush cuts a record at virtual time t when one is due (or forced,
 // at the session end).
-func (sp *shardProf) maybeFlush(ss *shardedSession, t float64, force bool) {
+func (sp *shardProf) maybeFlush(ss *session, t float64, force bool) {
 	if sp == nil || (!force && !sp.rec.Due(t)) {
 		return
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // TestProfiledRunsAreByteIdentical is the flight recorder's determinism
-// contract: attaching the profiler — serial or sharded, at any shard
-// count — must not change a single byte of the experiment output. The
+// contract: attaching the profiler — at any shard count — must not
+// change a single byte of the experiment output. The
 // recorder observes (send probes, queue snapshots at barriers) but never
 // schedules, so Result must render identically with profiling off or on.
 func TestProfiledRunsAreByteIdentical(t *testing.T) {
@@ -34,17 +34,15 @@ func TestProfiledRunsAreByteIdentical(t *testing.T) {
 			t.Fatalf("shards=%d profiled: %v", shards, err)
 		}
 		if got := renderResult(res); got != want {
-			t.Fatalf("shards=%d profiled diverged from unprofiled serial:\n%s", shards, firstDiff(want, got))
+			t.Fatalf("shards=%d profiled diverged from unprofiled:\n%s", shards, firstDiff(want, got))
 		}
 
 		rec, err := simprof.Read(&buf)
 		if err != nil {
 			t.Fatalf("shards=%d: reading recording: %v", shards, err)
 		}
-		wantEngine, wantShards := "serial", 0
-		if shards > 0 {
-			wantEngine, wantShards = "sharded", shards
-		}
+		// Shards 0 means one shard.
+		wantEngine, wantShards := "sharded", max(shards, 1)
 		if rec.Header.Engine != wantEngine || rec.Header.Shards != wantShards {
 			t.Fatalf("shards=%d: header engine=%q shards=%d, want %q/%d",
 				shards, rec.Header.Engine, rec.Header.Shards, wantEngine, wantShards)
@@ -82,6 +80,52 @@ func TestProfiledRunsAreByteIdentical(t *testing.T) {
 		last := rec.Records[len(rec.Records)-1]
 		if last.T != cfg.DurationS {
 			t.Fatalf("shards=%d: last record at t=%v, want %v", shards, last.T, cfg.DurationS)
+		}
+	}
+}
+
+// TestObserverBoundariesCutBarriers pins the barrier cadence of the
+// observers at S=1, where the lookahead is unbounded and the controller
+// would otherwise stop only at measurements: a Progress callback lands on
+// every multiple of ProgressEveryS, the first one no later than
+// ProgressEveryS itself, and the flight recorder cuts one record per
+// EveryS, each on its boundary.
+func TestObserverBoundariesCutBarriers(t *testing.T) {
+	cfg := parityConfigs()["ch3-churn"]
+	cfg.Shards = 1
+	const every = 0.5
+	var reports []float64
+	cfg.ProgressEveryS = every
+	cfg.Progress = func(p ProgressInfo) { reports = append(reports, p.T) }
+	var buf bytes.Buffer
+	const flushS = 25.0
+	cfg.Profile = &simprof.Options{W: &buf, EveryS: flushS}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(reports) == 0 || reports[0] > every {
+		t.Fatalf("first progress report at %v, want T <= %v", reports, every)
+	}
+	if want := int(cfg.DurationS / every); len(reports) != want {
+		t.Fatalf("%d progress reports, want %d (one per %v s)", len(reports), want, every)
+	}
+	for i, T := range reports {
+		if want := float64(i+1) * every; T != want {
+			t.Fatalf("progress report %d at T=%v, want %v", i, T, want)
+		}
+	}
+
+	rec, err := simprof.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int(cfg.DurationS / flushS); len(rec.Records) != want {
+		t.Fatalf("%d flight-recorder records, want %d (one per %v s)", len(rec.Records), want, flushS)
+	}
+	for i, r := range rec.Records {
+		if want := float64(i+1) * flushS; r.T != want {
+			t.Fatalf("record %d at T=%v, want %v", i, r.T, want)
 		}
 	}
 }
@@ -128,9 +172,9 @@ func TestProfileRecordsShardRows(t *testing.T) {
 }
 
 // TestFinishWithUnjoinedRosterSlots pins the nil-guard in finish: when the
-// session ends before the join phase does, the sharded engine's
-// preallocated membership roster still holds nil entries for slots that
-// never joined, and finish must skip them rather than dereference.
+// session ends before the join phase does, the preallocated membership
+// roster still holds nil entries for slots that never joined, and finish
+// must skip them rather than dereference.
 func TestFinishWithUnjoinedRosterSlots(t *testing.T) {
 	cfg := parityConfigs()["ch3-churn"]
 	cfg.DurationS = 120 // well inside the 200 s join phase

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -35,10 +37,12 @@ func renderResult(r *Result) string {
 	return b.String()
 }
 
-// parityConfigs are the two workload styles the chapter experiments use:
-// a chapter-3 churn session (VDM, delay metric, control-loss injection)
-// and a chapter-4 batch-growth session (HMTP, loss metric over lossy
-// links). Small enough to sweep four shard counts in a test run.
+// parityConfigs are the workload styles the chapter experiments use: a
+// chapter-3 churn session (VDM, delay metric, control-loss injection), a
+// chapter-4 batch-growth session (HMTP, loss metric over lossy links) and
+// a VDM session on the estimated-loss metric, whose per-pair estimates
+// must not depend on which shard queries first. Small enough to sweep
+// four shard counts in a test run.
 func parityConfigs() map[string]Config {
 	return map[string]Config{
 		"ch3-churn": {
@@ -67,24 +71,39 @@ func parityConfigs() map[string]Config {
 			LinkLossMax: 0.05,
 			ComputeMST:  true,
 		},
+		"loss-est": {
+			Seed:        11,
+			Protocol:    VDM,
+			Metric:      "loss-est",
+			Nodes:       32,
+			RouterMin:   100,
+			ChurnPct:    20,
+			JoinPhaseS:  200,
+			IntervalS:   100,
+			SettleS:     50,
+			DurationS:   600,
+			LinkLossMax: 0.05,
+			Validate:    true,
+		},
 	}
 }
 
 // TestShardedRunsAreByteIdentical is the engine's determinism contract:
-// the sharded engine at every shard count produces byte-identical
-// experiment output to the serial engine.
+// every shard count produces byte-identical experiment output to one
+// shard.
 func TestShardedRunsAreByteIdentical(t *testing.T) {
 	for name, cfg := range parityConfigs() {
 		t.Run(name, func(t *testing.T) {
-			serial, err := Run(cfg)
+			cfg.Shards = 1
+			one, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := renderResult(serial)
-			if serial.EventsProcessed == 0 || len(serial.Samples) == 0 {
-				t.Fatalf("serial run is degenerate: %d events, %d samples", serial.EventsProcessed, len(serial.Samples))
+			want := renderResult(one)
+			if one.EventsProcessed == 0 || len(one.Samples) == 0 {
+				t.Fatalf("S=1 run is degenerate: %d events, %d samples", one.EventsProcessed, len(one.Samples))
 			}
-			for _, shards := range []int{1, 2, 4, 8} {
+			for _, shards := range []int{2, 4, 8} {
 				scfg := cfg
 				scfg.Shards = shards
 				res, err := Run(scfg)
@@ -92,7 +111,7 @@ func TestShardedRunsAreByteIdentical(t *testing.T) {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
 				if got := renderResult(res); got != want {
-					t.Fatalf("shards=%d diverged from serial:\n%s", shards, firstDiff(want, got))
+					t.Fatalf("shards=%d diverged from S=1:\n%s", shards, firstDiff(want, got))
 				}
 			}
 		})
@@ -104,22 +123,10 @@ func firstDiff(want, got string) string {
 	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
 	for i := 0; i < len(wl) && i < len(gl); i++ {
 		if wl[i] != gl[i] {
-			return fmt.Sprintf("line %d:\nserial:  %s\nsharded: %s", i+1, wl[i], gl[i])
+			return fmt.Sprintf("line %d:\nwant: %s\ngot:  %s", i+1, wl[i], gl[i])
 		}
 	}
-	return fmt.Sprintf("length: serial %d lines, sharded %d lines", len(wl), len(gl))
-}
-
-// TestShardedRejectsOrderSensitiveMetric pins the one configuration the
-// sharded engine refuses: the estimated-loss metric draws from a shared
-// stream in query order, which cannot be sharded deterministically.
-func TestShardedRejectsOrderSensitiveMetric(t *testing.T) {
-	cfg := parityConfigs()["ch3-churn"]
-	cfg.Metric = "loss-est"
-	cfg.Shards = 2
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("expected an error for Shards>0 with metric loss-est")
-	}
+	return fmt.Sprintf("length: want %d lines, got %d lines", len(wl), len(gl))
 }
 
 // TestShardedDeliveryHammer drives a denser cross-shard workload for the
@@ -150,14 +157,14 @@ func TestShardedDeliveryHammer(t *testing.T) {
 
 // TestCheckpointResume checks the replay-based resume: a second run
 // finding the checkpoint must reproduce the first run exactly, including
-// across a different shard count, and still match the serial engine.
+// across a different shard count.
 func TestCheckpointResume(t *testing.T) {
 	base := parityConfigs()["ch4-batch"]
-	serial, err := Run(base)
+	ref, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := renderResult(serial)
+	want := renderResult(ref)
 
 	path := filepath.Join(t.TempDir(), "cp.json")
 	cfg := base
@@ -168,7 +175,7 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := renderResult(first); got != want {
-		t.Fatalf("checkpointing run diverged from serial:\n%s", firstDiff(want, got))
+		t.Fatalf("checkpointing run diverged:\n%s", firstDiff(want, got))
 	}
 
 	// Resume at a different shard count: the checkpoint identity excludes
@@ -179,16 +186,71 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := renderResult(resumed); got != want {
-		t.Fatalf("resumed run diverged from serial:\n%s", firstDiff(want, got))
+		t.Fatalf("resumed run diverged:\n%s", firstDiff(want, got))
 	}
 }
 
-// TestCheckpointIncompatibleWithValidate pins the documented restriction.
-func TestCheckpointIncompatibleWithValidate(t *testing.T) {
-	cfg := parityConfigs()["ch3-churn"]
-	cfg.Shards = 2
-	cfg.CheckpointPath = filepath.Join(t.TempDir(), "cp.json")
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("expected an error for CheckpointPath with Validate")
+// TestCheckpointResumeWithValidate interrupts validated sessions midway
+// and resumes them from the checkpoint. The replayed barriers must re-run
+// validation and queue the same follow-up re-checks, so the resumed
+// Result — invariant errors included — matches the uninterrupted one.
+// The harsh variant (heavy churn measured one second after each round,
+// 10% control loss) does report invariant errors, so the re-derivation
+// is exercised, not just the empty case.
+func TestCheckpointResumeWithValidate(t *testing.T) {
+	harsh := parityConfigs()["ch3-churn"]
+	harsh.Seed = 3
+	harsh.ChurnPct = 50
+	harsh.IntervalS = 20
+	harsh.SettleS = 1
+	harsh.CtrlLossProb = 0.1
+	for name, cfg := range map[string]Config{"ch3-churn": parityConfigs()["ch3-churn"], "ch3-churn-harsh": harsh} {
+		t.Run(name, func(t *testing.T) {
+			ref, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := renderResult(ref)
+			if name == "ch3-churn-harsh" && len(ref.InvariantErrors) == 0 {
+				t.Fatal("harsh session reports no invariant errors; the test no longer covers follow-up re-derivation")
+			}
+
+			cfg.CheckpointPath = filepath.Join(t.TempDir(), "cp.json")
+			cut := cfg.DurationS * 0.6
+			interrupted := cfg
+			interrupted.ProgressEveryS = 1
+			interrupted.Progress = func(p ProgressInfo) {
+				if p.T >= cut {
+					panic("interrupted")
+				}
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != "interrupted" {
+						t.Fatalf("interrupted run: recovered %v", r)
+					}
+				}()
+				Run(interrupted)
+			}()
+			data, err := os.ReadFile(cfg.CheckpointPath)
+			if err != nil {
+				t.Fatalf("interrupted run wrote no checkpoint: %v", err)
+			}
+			var f checkpointFile
+			if err := json.Unmarshal(data, &f); err != nil {
+				t.Fatal(err)
+			}
+			if f.T <= 0 || f.T >= cut {
+				t.Fatalf("checkpoint at t=%v, want one inside (0, %v)", f.T, cut)
+			}
+
+			resumed, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderResult(resumed); got != want {
+				t.Fatalf("resumed run diverged from the uninterrupted one:\n%s", firstDiff(want, got))
+			}
+		})
 	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"vdm/internal/btp"
 	"vdm/internal/core"
-	"vdm/internal/eventq"
 	"vdm/internal/geo"
 	"vdm/internal/hmtp"
 	"vdm/internal/metrics"
@@ -152,35 +151,32 @@ type Config struct {
 	// Scenario overrides the generated workload when non-nil.
 	Scenario *scenario.Scenario
 
-	// Shards selects the execution engine: 0 (the default) runs the
-	// serial single-queue engine; S ≥ 1 runs the sharded conservative-
-	// lookahead engine with S shards (S = 1 included — it exercises the
-	// same epoch machinery with one worker). The engines produce
-	// byte-identical results at every S; see internal/sim/sharded.go.
+	// Shards is the number of event-queue shards the session runs on; 0
+	// and 1 both mean one. S > 1 runs the conservative-lookahead parallel
+	// epochs on S goroutines. Results are byte-identical at every S; see
+	// internal/sim/engine.go.
 	Shards int
 
-	// Progress, when set, receives a ProgressInfo roughly every
-	// ProgressEveryS simulated seconds: at epoch barriers on the sharded
-	// engine, at interval boundaries on the serial engine. ProgressEveryS
-	// = 0 reports at every opportunity.
+	// Progress, when set, receives a ProgressInfo at the first barrier at
+	// or past every multiple of ProgressEveryS simulated seconds.
+	// ProgressEveryS = 0 reports at every barrier, with barriers at least
+	// once per simulated second.
 	Progress       func(ProgressInfo)
 	ProgressEveryS float64
 
 	// Profile, when non-nil with a destination writer, turns on the
 	// simulation flight recorder: a versioned JSONL stream of engine and
-	// protocol telemetry (see internal/obs/simprof), written per fixed
-	// interval of simulated time on the serial engine and per flush
-	// barrier on the sharded engine. Recording is strictly observational:
-	// profiled and unprofiled sessions produce byte-identical Results
-	// (pinned by TestProfiledRunsAreByteIdentical).
+	// protocol telemetry (see internal/obs/simprof), one record per
+	// Profile.EveryS of simulated time. Recording is strictly
+	// observational: profiled and unprofiled sessions produce
+	// byte-identical Results (pinned by TestProfiledRunsAreByteIdentical).
 	Profile *simprof.Options
 
-	// CheckpointPath enables checkpoint/resume on the sharded engine:
-	// the session writes a checkpoint there at measurement barriers
-	// (every CheckpointEveryS simulated seconds; 0 = every measurement),
-	// and a run finding a compatible checkpoint resumes from it by
-	// deterministic replay, verifying the state hash at the checkpointed
-	// barrier. Incompatible with Validate.
+	// CheckpointPath enables checkpoint/resume: the session writes a
+	// checkpoint there at measurement barriers (every CheckpointEveryS
+	// simulated seconds; 0 = every measurement), and a run finding a
+	// compatible checkpoint resumes from it by deterministic replay,
+	// verifying the state hash at the checkpointed barrier.
 	CheckpointPath   string
 	CheckpointEveryS float64
 }
@@ -279,67 +275,6 @@ type TreeEdge struct {
 	ParentLabel   string
 }
 
-type session struct {
-	cfg    Config
-	sim    *eventq.Sim
-	net    *overlay.Network
-	u      underlay.Underlay
-	metric vdist.Metric
-	degrees []int
-	// insts is the live roster, indexed by host slot (nil = slot not
-	// alive). A dense slice instead of a map: lookups are hot (every data
-	// tick and scenario event), iteration is sorted for free, and the
-	// roster costs 8 bytes per slot instead of a map entry.
-	insts     []overlay.Protocol
-	alive     int
-	all       []*overlay.Peer // every membership's peer base, in spawn order
-	protoSeed int64
-	dataDT    float64
-	samples   []Sample
-	invErrs   []string
-
-	// scnFires and the tick record are the arg-carrying event slabs of
-	// the join-storm flattening: one contiguous allocation for the whole
-	// scenario instead of a closure per membership event, and a single
-	// mutated record for the data ticker.
-	scnFires []scnFire
-	tick     dataTick
-}
-
-// scnFire carries one scenario event through an arg-carrying timer.
-type scnFire struct {
-	s  *session
-	ev scenario.Event
-}
-
-// scnFireRun applies one scheduled membership event (arg: *scnFire).
-func scnFireRun(a any) {
-	f := a.(*scnFire)
-	if f.ev.Join {
-		f.s.spawn(f.ev.Slot)
-	} else {
-		f.s.leave(f.ev.Slot)
-	}
-}
-
-// dataTick is the source's chunk ticker: one record, mutated in place and
-// rescheduled, instead of a fresh closure pair per emitted chunk.
-type dataTick struct {
-	s   *session
-	seq int64
-}
-
-// dataTickRun emits the next chunk and reschedules (arg: *dataTick).
-func dataTickRun(a any) {
-	dt := a.(*dataTick)
-	s := dt.s
-	if src := s.insts[0]; src != nil {
-		src.Base().EmitChunk(dt.seq)
-	}
-	dt.seq++
-	s.sim.AfterTimer(s.dataDT, dataTickRun, dt)
-}
-
 // buildScenario resolves the session script: the override if given, else
 // a generated workload. It returns the (possibly adjusted) config: the
 // batch workload derives the session duration from the script.
@@ -380,65 +315,6 @@ func buildScenario(cfg Config) (*scenario.Scenario, Config) {
 	return scn, cfg
 }
 
-// Run executes one session and returns its aggregated result.
-func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Shards != 0 {
-		return runSharded(cfg)
-	}
-
-	scn, cfg := buildScenario(cfg)
-
-	u, err := buildUnderlay(cfg, scn.PoolSize)
-	if err != nil {
-		return nil, err
-	}
-
-	s := &session{
-		cfg:       cfg,
-		sim:       eventq.New(),
-		u:         u,
-		insts:     make([]overlay.Protocol, scn.PoolSize),
-		protoSeed: rng.DeriveSeed(cfg.Seed, "proto"),
-		dataDT:    1 / cfg.DataRate,
-	}
-	s.net = overlay.NewNetwork(s.sim, u, rng.Derive(cfg.Seed, "net"))
-	s.net.SetKeyedDraws(rng.DeriveSeed(cfg.Seed, "net"))
-	s.net.CtrlLossProb = cfg.CtrlLossProb
-	if cfg.Trace != nil {
-		trace := cfg.Trace
-		s.net.TraceFn = func(at float64, from, to overlay.NodeID, m overlay.Message) {
-			trace(at, int(from), int(to), fmt.Sprintf("%T", m))
-		}
-	}
-	s.metric = buildMetric(cfg.Metric, u, rng.Derive(cfg.Seed, "estimator"))
-	s.degrees = drawDegrees(cfg, scn.PoolSize, rng.Derive(cfg.Seed, "degrees"))
-
-	// The source is alive for the whole session.
-	s.spawn(0)
-
-	// Data stream.
-	s.tick = dataTick{s: s}
-	s.sim.AtTimer(0, dataTickRun, &s.tick)
-
-	// Scenario playback: one slab of arg records for the whole script,
-	// scheduled through the event queue's arg-carrying timer form.
-	s.scnFires = make([]scnFire, len(scn.Events))
-	for i, e := range scn.Events {
-		s.scnFires[i] = scnFire{s: s, ev: e}
-		s.sim.AtTimer(e.T, scnFireRun, &s.scnFires[i])
-	}
-	for _, mt := range scn.MeasureTimes {
-		t := mt
-		s.sim.At(t, func() { s.measure(t) })
-	}
-
-	if err := s.drive(cfg, scn); err != nil {
-		return nil, err
-	}
-	return s.finish(cfg, scn)
-}
-
 // routerCacheBudgets bounds the lazy SPT and path-loss caches relative to
 // the graph: generous enough that paper-scale topologies never evict, but
 // a hard ceiling so very large graphs cannot hold every tree and path at
@@ -452,7 +328,7 @@ func routerCacheBudgets(numRouters int) (spts, pathLoss int) {
 	return spts, pathLoss
 }
 
-func buildUnderlay(cfg Config, pool int) (underlay.Underlay, error) {
+func buildUnderlay(cfg Config, pool int) (underlay.Keyed, error) {
 	switch cfg.Underlay {
 	case Router:
 		ts, err := topology.GenerateTransitStub(
@@ -472,9 +348,9 @@ func buildUnderlay(cfg Config, pool int) (underlay.Underlay, error) {
 		if sigma == 0 {
 			sigma = 0.1
 		}
-		// Keyed jitter for both engines: the draw for a send depends on
-		// the edge and the sender's send count, not on global send order,
-		// so serial and sharded runs see identical delays.
+		// Keyed jitter: the draw for a send depends on the edge and the
+		// sender's send count, not on global send order, so runs see
+		// identical delays at every shard count.
 		u.WithKeyedJitter(rng.DeriveSeed(cfg.Seed, "routerjitter"), sigma)
 		return u, nil
 	case Geo:
@@ -519,7 +395,7 @@ func buildUnderlay(cfg Config, pool int) (underlay.Underlay, error) {
 	}
 }
 
-func buildMetric(name string, u underlay.Underlay, rnd *rng.Stream) vdist.Metric {
+func buildMetric(name string, u underlay.Underlay, seed int64) vdist.Metric {
 	switch name {
 	case "", "delay":
 		return nil // measured probe RTT
@@ -528,7 +404,7 @@ func buildMetric(name string, u underlay.Underlay, rnd *rng.Stream) vdist.Metric
 	case "loss-est":
 		// VDM-L over a third-party statistics service instead of
 		// oracle path loss (the future-work deployment path).
-		return vdist.EstimatedLoss{Svc: vdist.NewLossEstimator(u, rnd)}
+		return vdist.EstimatedLoss{Svc: vdist.NewLossEstimator(u, seed)}
 	case "bandwidth":
 		return vdist.Bandwidth{U: u}
 	default:
@@ -584,11 +460,11 @@ func drawDegrees(cfg Config, pool int, rnd *rng.Stream) []int {
 	return degrees
 }
 
-// buildProtocol constructs the protocol instance for one membership,
-// identically in both engines. The per-membership random stream is
-// derived statelessly from (protoSeed, slot, membership ordinal), so the
-// stream a peer gets does not depend on which other peers were built
-// first — a prerequisite for sharded/serial parity.
+// buildProtocol constructs the protocol instance for one membership. The
+// per-membership random stream is derived statelessly from (protoSeed,
+// slot, membership ordinal), so the stream a peer gets does not depend on
+// which other peers were built first — a prerequisite for identical runs
+// at every shard count.
 func buildProtocol(cfg Config, bus overlay.Bus, metric vdist.Metric, degrees []int, slot, memIdx int, protoSeed int64, sink obs.Sink) overlay.Protocol {
 	pc := overlay.PeerConfig{
 		ID:        overlay.NodeID(slot),
@@ -631,80 +507,6 @@ func buildProtocol(cfg Config, bus overlay.Bus, metric vdist.Metric, degrees []i
 	return p
 }
 
-func (s *session) spawn(slot int) {
-	if s.insts[slot] != nil {
-		return
-	}
-	p := buildProtocol(s.cfg, s.net, s.metric, s.degrees, slot, len(s.all), s.protoSeed, s.cfg.EventSink)
-	if s.cfg.StatusPeriodS > 0 {
-		if slot == 0 && s.cfg.StatusHandler != nil {
-			p.Base().SetStatusHandler(s.cfg.StatusHandler)
-		}
-		p.Base().EnableStatusReports(s.cfg.StatusPeriodS)
-	}
-	s.net.Register(overlay.NodeID(slot), p)
-	s.insts[slot] = p
-	s.alive++
-	s.all = append(s.all, p.Base())
-	if slot != 0 {
-		p.StartJoin()
-	}
-}
-
-func (s *session) leave(slot int) {
-	p := s.insts[slot]
-	if p == nil || slot == 0 {
-		return
-	}
-	p.Leave()
-	s.insts[slot] = nil
-	s.alive--
-}
-
-func (s *session) views() []overlay.TreeView {
-	out := make([]overlay.TreeView, 0, s.alive)
-	for _, p := range s.insts {
-		if p != nil {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func (s *session) measure(t float64) {
-	views := s.views()
-	snap := metrics.Collect(views, 0, s.u)
-	s.samples = append(s.samples, Sample{
-		T:        t,
-		Tree:     snap,
-		Loss:     s.lossSoFar(t),
-		Overhead: s.net.Overhead(),
-	})
-	if s.cfg.Validate {
-		if errs := s.validate(); len(errs) > 0 {
-			// Parent/child symmetry is eventually consistent (a Detach
-			// or ParentChange may be in flight at the snapshot instant),
-			// so only violations that persist a few seconds later are
-			// real.
-			first := make(map[string]bool, len(errs))
-			for _, e := range errs {
-				first[e] = true
-			}
-			s.sim.After(5, func() {
-				for _, e := range s.validate() {
-					if first[e] {
-						s.invErrs = append(s.invErrs, fmt.Sprintf("t=%.0f: %s", t, e))
-					}
-				}
-			})
-		}
-	}
-}
-
-func (s *session) validate() []string {
-	return metrics.Validate(s.views(), 0, func(id overlay.NodeID) int { return s.degrees[int(id)] })
-}
-
 // expectedChunksIn counts the chunks the source emitted during [a, b)
 // at one chunk per dataDT seconds.
 func expectedChunksIn(dataDT, a, b float64) int64 {
@@ -721,8 +523,8 @@ func expectedChunksIn(dataDT, a, b float64) int64 {
 
 // lossOverPeers averages, over every membership that ever connected, the
 // fraction of the chunks emitted during its membership that it missed —
-// the paper's loss metric. Nil entries (memberships not yet spawned, in
-// the sharded engine's preallocated roster) are skipped.
+// the paper's loss metric. Nil entries (memberships not yet spawned in
+// the preallocated roster) are skipped.
 func lossOverPeers(all []*overlay.Peer, dataDT, now float64) float64 {
 	var rates []float64
 	for _, p := range all {
@@ -750,18 +552,16 @@ func lossOverPeers(all []*overlay.Peer, dataDT, now float64) float64 {
 	return stats.Mean(rates)
 }
 
-func (s *session) lossSoFar(now float64) float64 {
-	return lossOverPeers(s.all, s.dataDT, now)
-}
-
-func (s *session) finish(cfg Config, scn *scenario.Scenario) (*Result, error) {
+// finish aggregates the finished run into its Result.
+func (s *session) finish() *Result {
+	cfg := s.cfg
 	res := &Result{
 		Config:          cfg,
 		Samples:         s.samples,
-		Loss:            s.lossSoFar(cfg.DurationS),
-		Overhead:        s.net.Overhead(),
+		Loss:            lossOverPeers(s.allByMem, s.dataDT, cfg.DurationS),
+		Overhead:        s.router.Overhead(),
 		InvariantErrors: s.invErrs,
-		EventsProcessed: s.sim.Processed(),
+		EventsProcessed: s.eventsProcessed(),
 	}
 
 	var stress, maxStress, stretch, minStr, maxStr, leafStr []float64
@@ -795,8 +595,8 @@ func (s *session) finish(cfg Config, scn *scenario.Scenario) (*Result, error) {
 	res.UsageNorm = stats.Mean(usageN)
 
 	var startups, reconns []float64
-	for _, p := range s.all {
-		if p == nil { // sharded roster: slot never joined
+	for _, p := range s.allByMem {
+		if p == nil { // roster: slot never joined
 			continue
 		}
 		st := p.Stats()
@@ -823,7 +623,7 @@ func (s *session) finish(cfg Config, scn *scenario.Scenario) (*Result, error) {
 	if cfg.ComputeMST {
 		res.MSTRatio, res.DCMSTRatio = s.mstRatios(views)
 	}
-	return res, nil
+	return res
 }
 
 // label names a host for tree dumps: the site name on the synthetic

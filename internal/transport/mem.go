@@ -120,9 +120,9 @@ func (t *Mem) DataQueueDepth(to overlay.NodeID) int {
 
 var _ QueueDepther = (*Mem)(nil)
 
-// Send enqueues m for FIFO delivery. It mirrors overlay.Network.Send
-// semantics: a dropped message still reports true; only an unknown
-// destination reports false.
+// Send enqueues m for FIFO delivery. It mirrors the simulated bus
+// (overlay.Network.Send): a dropped message still reports true; only an
+// unknown destination reports false.
 func (t *Mem) Send(from, to overlay.NodeID, m overlay.Message) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -1,5 +1,6 @@
 // Package transport moves overlay messages between live peers — the real
-// counterpart of the simulated overlay.Network. Two implementations share
+// counterpart of the simulator's overlay.Router and its per-shard
+// overlay.Network buses. Two implementations share
 // one interface and one accounting scheme (overlay.Counters): an
 // in-process loopback (Mem) for fast deterministic tests and clusters, and
 // a UDP transport (UDP) for real deployments, with acknowledged,
@@ -26,7 +27,7 @@ type Transport interface {
 	Unregister(id overlay.NodeID)
 	// Send transmits m from → to. It reports whether the destination was
 	// known at send time; an in-flight loss is still a successful send,
-	// mirroring overlay.Network.Send.
+	// mirroring the simulated bus (overlay.Network.Send).
 	Send(from, to overlay.NodeID, m overlay.Message) bool
 	// Counters returns the shared control/data/drop counters, the same
 	// struct the simulated network maintains.

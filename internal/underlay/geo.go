@@ -18,7 +18,7 @@ import (
 //
 // NewGeo draws jitter from a sequential stream (single event loop only);
 // NewGeoKeyed draws it as a pure function of (edge, draw index), which
-// both simulation engines use — see KeyedJitter.
+// the simulator uses — see KeyedJitter.
 type GeoUnderlay struct {
 	m     *geo.Model
 	sites []int // host -> site id

@@ -104,7 +104,7 @@ func (t *lossTable) reset() {
 // without duplicating Dijkstra work. The stream-jitter measurement
 // methods (WithJitter) draw from a single random stream and must stay
 // within one session's event loop; the keyed-jitter mode (WithKeyedJitter)
-// is safe for concurrent use and is what the sharded engine requires.
+// is safe for concurrent use and is what the simulator requires.
 type RouterUnderlay struct {
 	g      *topology.Graph
 	attach []topology.RouterID // host -> router
@@ -152,9 +152,9 @@ func (u *RouterUnderlay) WithJitter(rnd *rng.Stream, sigma float64) *RouterUnder
 
 // WithKeyedJitter switches measurement and delivery jitter to keyed
 // draws under the given seed (sigma ≤ 0 means jitter-free but still
-// keyed-deterministic). This is the mode both simulation engines use:
-// draw values depend only on each sender's own send count per edge, so
-// serial and sharded executions observe identical delays.
+// keyed-deterministic). This is the mode the simulator uses: draw values
+// depend only on each sender's own send count per edge, so executions at
+// every shard count observe identical delays.
 func (u *RouterUnderlay) WithKeyedJitter(seed int64, sigma float64) *RouterUnderlay {
 	u.keyed = true
 	u.keyedSeed = seed

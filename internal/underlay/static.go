@@ -12,7 +12,7 @@ type Static struct {
 	Jitter func(a, b int, baseMS float64) float64 // optional RTT noise
 }
 
-var _ Underlay = (*Static)(nil)
+var _ Keyed = (*Static)(nil)
 
 // NewStatic builds a static underlay from a symmetric RTT matrix.
 func NewStatic(rtt [][]float64) *Static { return &Static{RTTms: rtt} }
@@ -42,6 +42,20 @@ func (s *Static) RTT(a, b int) float64 {
 
 // OneWayDelayMS returns half the (possibly jittered) RTT.
 func (s *Static) OneWayDelayMS(a, b int) float64 { return s.RTT(a, b) / 2 }
+
+// OneWayDelayMSKeyed is OneWayDelayMS floored at MinDelayFloorMS between
+// distinct hosts: the matrix draws no jitter for the index to key (a
+// Jitter function supplies its own).
+func (s *Static) OneWayDelayMSKeyed(a, b int, draw uint64) float64 {
+	d := s.OneWayDelayMS(a, b)
+	if a != b && d < MinDelayFloorMS {
+		d = MinDelayFloorMS
+	}
+	return d
+}
+
+// MinOneWayDelayMS returns the floor OneWayDelayMSKeyed applies.
+func (s *Static) MinOneWayDelayMS() float64 { return MinDelayFloorMS }
 
 // LossRate returns the loss matrix entry, 0 without a loss matrix.
 func (s *Static) LossRate(a, b int) float64 {

@@ -46,12 +46,12 @@ type Underlay interface {
 // modeled path, so the floor only exists to keep the bound positive.
 const MinDelayFloorMS = 0.01
 
-// KeyedJitter is the capability the sharded simulation engine requires of
+// KeyedJitter is the capability the simulated overlay network requires of
 // an underlay: delivery jitter drawn as a pure function of the edge and a
 // caller-supplied draw index, rather than from a shared sequential stream.
 // Keyed draws make delay values independent of global event interleaving
 // (each sender advances its own draw counters), and the guaranteed
-// minimum delay is the engine's conservative lookahead.
+// minimum delay is the multi-shard engine's conservative lookahead.
 type KeyedJitter interface {
 	// OneWayDelayMSKeyed is OneWayDelayMS with the jitter decided by the
 	// draw index instead of stream order.
@@ -59,6 +59,13 @@ type KeyedJitter interface {
 	// MinOneWayDelayMS returns a hard lower bound (> 0) on
 	// OneWayDelayMSKeyed over all host pairs a ≠ b and draws.
 	MinOneWayDelayMS() float64
+}
+
+// Keyed is an underlay with keyed jitter: what the simulated overlay
+// network delivers over. All three implementations qualify.
+type Keyed interface {
+	Underlay
+	KeyedJitter
 }
 
 // Stream ids for keyed draws, shared by the underlay implementations.

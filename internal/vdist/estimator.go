@@ -12,8 +12,12 @@ import (
 // between two points may not be as quick and easy as delay … third party
 // systems that provide statistics can be used", citing iPlane): instead
 // of observing true path loss, peers query a statistics service whose
-// per-pair estimates carry relative error and are cached (stale but
-// instant), the way iPlane nano serves precomputed predictions.
+// per-pair estimates carry relative error and are fixed per pair (stale
+// but instant), the way iPlane nano serves precomputed predictions.
+//
+// Each pair's error is a keyed draw on (seed, min, max), so an estimate
+// does not depend on query order and the service needs no state: it is
+// safe to share across concurrent simulation shards.
 type LossEstimator struct {
 	U underlay.Underlay
 	// NoiseSigma is the lognormal relative error of an estimate; zero
@@ -23,29 +27,27 @@ type LossEstimator struct {
 	// loss-free report 0. Zero selects 1e-4.
 	Floor float64
 
-	rnd   *rng.Stream
-	cache map[[2]int]float64
+	seed int64
 }
 
-// NewLossEstimator builds a service over u with estimation noise drawn
-// from rnd.
-func NewLossEstimator(u underlay.Underlay, rnd *rng.Stream) *LossEstimator {
-	return &LossEstimator{U: u, rnd: rnd, cache: make(map[[2]int]float64)}
+// NewLossEstimator builds a service over u with estimation noise keyed
+// on seed.
+func NewLossEstimator(u underlay.Underlay, seed int64) *LossEstimator {
+	return &LossEstimator{U: u, seed: seed}
 }
 
-// Estimate returns the service's (noisy, cached) loss estimate for the
-// pair — every query for the same pair returns the same prediction, as a
-// statistics service would.
+// estimateStream is the keyed-draw stream id of the estimation error.
+const estimateStream uint32 = 1
+
+// Estimate returns the service's (noisy, fixed) loss estimate for the
+// pair — every query for the same pair, in either direction, returns the
+// same prediction, as a statistics service would.
 func (e *LossEstimator) Estimate(a, b int) float64 {
 	if a == b {
 		return 0
 	}
-	key := [2]int{a, b}
 	if a > b {
-		key = [2]int{b, a}
-	}
-	if p, ok := e.cache[key]; ok {
-		return p
+		a, b = b, a
 	}
 	sigma := e.NoiseSigma
 	if sigma == 0 {
@@ -56,8 +58,8 @@ func (e *LossEstimator) Estimate(a, b int) float64 {
 		floor = 1e-4
 	}
 	p := e.U.LossRate(a, b)
-	if p > floor && e.rnd != nil {
-		p *= e.rnd.LogNormal(0, sigma)
+	if p > floor {
+		p *= rng.KeyedLogNormal(e.seed, uint64(a), uint64(b), estimateStream, 0, 0, sigma)
 	}
 	if p < 0 {
 		p = 0
@@ -65,7 +67,6 @@ func (e *LossEstimator) Estimate(a, b int) float64 {
 	if p > 0.999 {
 		p = 0.999
 	}
-	e.cache[key] = p
 	return p
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"vdm/internal/rng"
 	"vdm/internal/underlay"
 )
 
@@ -21,7 +20,7 @@ func estFixture() *LossEstimator {
 			{0.10, 0, 0},
 		},
 	}
-	return NewLossEstimator(u, rng.New(7))
+	return NewLossEstimator(u, 7)
 }
 
 func TestEstimateCachedAndSymmetric(t *testing.T) {
@@ -29,7 +28,7 @@ func TestEstimateCachedAndSymmetric(t *testing.T) {
 	first := e.Estimate(0, 2)
 	for i := 0; i < 10; i++ {
 		if e.Estimate(0, 2) != first {
-			t.Fatal("estimate not cached")
+			t.Fatal("estimate not stable")
 		}
 		if e.Estimate(2, 0) != first {
 			t.Fatal("estimate not symmetric")
@@ -41,13 +40,13 @@ func TestEstimateCachedAndSymmetric(t *testing.T) {
 }
 
 func TestEstimateNoisyButCalibrated(t *testing.T) {
-	// Fresh estimators (fresh caches) sample the estimation error; over
+	// Estimators under different seeds sample the estimation error; over
 	// many services the mean estimate must track the true loss.
 	sum, n := 0.0, 300
 	exact := 0
 	for i := 0; i < n; i++ {
 		e := estFixture()
-		e.rnd = rng.New(int64(i))
+		e.seed = int64(i)
 		v := e.Estimate(0, 2)
 		if v < 0 || v > 0.999 {
 			t.Fatalf("estimate %v out of range", v)
