@@ -14,6 +14,12 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+# perfbench/ is a module of its own (replace vdm => ../), so the root
+# build above never compiles it; an API change it depends on would break
+# the benchmark unseen.
+echo "== perfbench: go vet + go test"
+(cd perfbench && go vet . && go test .)
+
 # Optional perf gate: compare benchmarks against the archived baseline.
 # Off by default (benchmark noise depends on the machine); enable with
 #   BENCH_COMPARE=1 ./check.sh

@@ -143,11 +143,11 @@ func (n *Node) sendConn(js *joinState, to overlay.NodeID) {
 	n.Net().Send(n.ID(), to, overlay.ConnRequest{Token: js.token, Kind: overlay.ConnChild, Dist: dist})
 
 	tok := js.token
-	n.Net().After(n.ConnTimeoutS, func() {
+	n.Net().After(n.ConnTimeoutS, func(any) {
 		if n.join == js && js.stage == stageConn && js.token == tok {
 			n.restart(js)
 		}
-	})
+	}, nil)
 }
 
 func (n *Node) onConnResponse(from overlay.NodeID, m overlay.ConnResponse) {
@@ -219,11 +219,11 @@ func (n *Node) restart(js *joinState) {
 	attempts := js.attempts + 1
 	n.join = nil
 	if attempts >= n.cfg.MaxAttempts {
-		n.Net().After(n.cfg.RetryBackoffS, func() {
+		n.Net().After(n.cfg.RetryBackoffS, func(any) {
 			if n.Alive() && !n.Connected() && n.join == nil {
 				n.begin(js.reconnect)
 			}
-		})
+		}, nil)
 		return
 	}
 	next := &joinState{
@@ -250,7 +250,7 @@ func (n *Node) scheduleSwitch() {
 	if n.rnd != nil {
 		period *= n.rnd.Uniform(0.9, 1.1)
 	}
-	n.Net().After(period, func() {
+	n.Net().After(period, func(any) {
 		if !n.Alive() {
 			return
 		}
@@ -264,14 +264,14 @@ func (n *Node) scheduleSwitch() {
 			n.join = js
 			n.Net().Send(n.ID(), js.target, overlay.InfoRequest{Token: js.token})
 			tok := js.token
-			n.Net().After(n.InfoTimeoutS, func() {
+			n.Net().After(n.InfoTimeoutS, func(any) {
 				if n.join == js && js.stage == stageSwitchInfo && js.token == tok {
 					n.join = nil
 				}
-			})
+			}, nil)
 		}
 		n.scheduleSwitch()
-	})
+	}, nil)
 }
 
 // onSwitchInfo probes the siblings reported by the parent and switches
@@ -322,11 +322,11 @@ func (n *Node) onSwitchInfo(from overlay.NodeID, m overlay.InfoResponse) {
 		js.token = n.token
 		n.Net().Send(n.ID(), best, overlay.ConnRequest{Token: js.token, Kind: overlay.ConnChild, Dist: bd})
 		tok2 := js.token
-		n.Net().After(n.ConnTimeoutS, func() {
+		n.Net().After(n.ConnTimeoutS, func(any) {
 			if n.join == js && js.stage == stageSwitchConn && js.token == tok2 {
 				n.EndSwitch()
 				n.join = nil
 			}
-		})
+		}, nil)
 	})
 }

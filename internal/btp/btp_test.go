@@ -31,7 +31,7 @@ func newRig(t *testing.T, points []protocoltest.Point, degrees []int) *btpRig {
 func (r *btpRig) joinAll(order ...overlay.NodeID) {
 	for i, id := range order {
 		id := id
-		r.Sim.At(float64(i)*10, func() { r.nodes[id].StartJoin() })
+		r.Sim.At(float64(i)*10, func(any) { r.nodes[id].StartJoin() }, nil)
 	}
 	r.Run(float64(len(order))*10 + 30)
 }
@@ -129,7 +129,7 @@ func TestReconnectAtRoot(t *testing.T) {
 		t.Fatal("precondition failed")
 	}
 	now := r.Sim.Now()
-	r.Sim.At(now+1, func() { r.nodes[1].Leave() })
+	r.Sim.At(now+1, func(any) { r.nodes[1].Leave() }, nil)
 	r.Run(now + 10)
 	if got := r.parentOf(t, 2); got != 0 {
 		t.Fatalf("orphan's parent = %d, want root", got)

@@ -16,8 +16,8 @@ func TestJoinBacksOffAndRecovers(t *testing.T) {
 	src := r.nodes[0]
 
 	r.Net.Unregister(0)
-	r.Sim.At(1, func() { n.StartJoin() })
-	r.Sim.At(12, func() { r.Net.Register(0, src) })
+	r.Sim.At(1, func(any) { n.StartJoin() }, nil)
+	r.Sim.At(12, func(any) { r.Net.Register(0, src) }, nil)
 	r.Run(40)
 
 	if !n.Connected() || n.ParentID() != 0 {
@@ -37,7 +37,7 @@ func TestOrphanDuringSwitchRecovers(t *testing.T) {
 		t.Fatal("precondition")
 	}
 	now := r.Sim.Now()
-	r.Sim.At(now+14.9, func() { r.nodes[1].Leave() })
+	r.Sim.At(now+14.9, func(any) { r.nodes[1].Leave() }, nil)
 	r.Run(now + 40)
 	if got := r.parentOf(t, 2); got != 0 {
 		t.Fatalf("orphan's parent = %d, want root", got)

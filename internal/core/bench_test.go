@@ -31,7 +31,7 @@ func benchJoinSession(b *testing.B, n int, sink obs.Sink) {
 			r.Net.Register(id, node)
 			if j != 0 {
 				at := float64(j) * 5
-				r.Sim.At(at, node.StartJoin)
+				r.Sim.At(at, func(any) { node.StartJoin() }, nil)
 			}
 		}
 		r.Run(float64(n)*5 + 30)

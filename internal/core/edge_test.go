@@ -18,8 +18,8 @@ func TestJoinWithAllChildrenDead(t *testing.T) {
 	now := r.Sim.Now()
 	// The child vanishes without notice but stays in the source's
 	// children list until reaped.
-	r.Sim.At(now+1, func() { r.Net.Unregister(1) })
-	r.Sim.At(now+2, func() { r.nodes[2].StartJoin() })
+	r.Sim.At(now+1, func(any) { r.Net.Unregister(1) }, nil)
+	r.Sim.At(now+2, func(any) { r.nodes[2].StartJoin() }, nil)
 	r.Run(now + 20)
 	if got := r.parentOf(t, 2); got != 0 {
 		t.Fatalf("parent = %d, want source (only live node)", got)
@@ -36,9 +36,9 @@ func TestLeaveMidJoin(t *testing.T) {
 	r.joinAll(1)
 	now := r.Sim.Now()
 	n := r.nodes[2]
-	r.Sim.At(now+1, func() { n.StartJoin() })
+	r.Sim.At(now+1, func(any) { n.StartJoin() }, nil)
 	// Leave a hair after the join started, before it can complete.
-	r.Sim.At(now+1.001, func() { n.Leave() })
+	r.Sim.At(now+1.001, func(any) { n.Leave() }, nil)
 	r.Run(now + 10)
 	if n.Alive() || n.Connected() {
 		t.Fatal("left node still alive/connected")
@@ -46,7 +46,7 @@ func TestLeaveMidJoin(t *testing.T) {
 	// The tree is still serviceable: a fresh node can join and reach
 	// the spot the leaver would have taken.
 	f := r.add(2, 4, Config{})
-	r.Sim.At(r.Sim.Now()+1, func() { f.StartJoin() })
+	r.Sim.At(r.Sim.Now()+1, func(any) { f.StartJoin() }, nil)
 	r.Run(r.Sim.Now() + 20)
 	if !f.Connected() {
 		t.Fatal("fresh instance could not join")
@@ -79,8 +79,8 @@ func TestConcurrentSpliceRace(t *testing.T) {
 	}, nil)
 	r.joinAll(1)
 	now := r.Sim.Now()
-	r.Sim.At(now+1, func() { r.nodes[2].StartJoin() })
-	r.Sim.At(now+1.001, func() { r.nodes[3].StartJoin() })
+	r.Sim.At(now+1, func(any) { r.nodes[2].StartJoin() }, nil)
+	r.Sim.At(now+1.001, func(any) { r.nodes[3].StartJoin() }, nil)
 	r.Run(now + 30)
 
 	// Everyone connected, exactly one parent each, and C reachable.
@@ -150,10 +150,10 @@ func TestRefineDuringOrphanhoodSkipped(t *testing.T) {
 	// (grandparent times out → source: kill the source handler too so
 	// b stays orphaned while refine ticks pass).
 	now := r.Sim.Now()
-	r.Sim.At(now+1, func() {
+	r.Sim.At(now+1, func(any) {
 		r.nodes[1].Leave()
 		r.Net.Unregister(0)
-	})
+	}, nil)
 	r.Run(now + 12)
 	if b.Connected() {
 		t.Fatal("unexpectedly connected with no live ancestors")

@@ -20,7 +20,7 @@ func TestFosterJoinQuickStartsThenSwitches(t *testing.T) {
 
 	r.joinAll(1)
 	now := r.Sim.Now()
-	r.Sim.At(now+1, func() { n.StartJoin() })
+	r.Sim.At(now+1, func(any) { n.StartJoin() }, nil)
 	// Immediately after one connection round-trip (25 ms RTT) the node
 	// must be connected — to the source (the directional search, which
 	// takes several round trips, has not finished yet).
@@ -57,7 +57,7 @@ func TestFosterJoinFullSourceFallsBack(t *testing.T) {
 	n.cfg.FosterJoin = true
 	r.joinAll(1)
 	now := r.Sim.Now()
-	r.Sim.At(now+1, func() { n.StartJoin() })
+	r.Sim.At(now+1, func(any) { n.StartJoin() }, nil)
 	r.Run(now + 15)
 	if got := r.parentOf(t, 2); got != 1 {
 		t.Fatalf("parent = %d, want C via the regular join", got)
@@ -75,7 +75,7 @@ func TestFosterJoinPromotesWhenSourceOptimal(t *testing.T) {
 	n.cfg.FosterJoin = true
 	r.joinAll(1)
 	now := r.Sim.Now()
-	r.Sim.At(now+1, func() { n.StartJoin() })
+	r.Sim.At(now+1, func(any) { n.StartJoin() }, nil)
 	r.Run(now + 15)
 	if got := r.parentOf(t, 2); got != 0 {
 		t.Fatalf("parent = %d, want source", got)
@@ -109,7 +109,7 @@ func TestFosterJoinVacatesFosterSlotOnMove(t *testing.T) {
 	n.cfg.FosterJoin = true
 	r.joinAll(1)
 	now := r.Sim.Now()
-	r.Sim.At(now+1, func() { n.StartJoin() })
+	r.Sim.At(now+1, func(any) { n.StartJoin() }, nil)
 	r.Run(now + 15)
 	if got := r.parentOf(t, 2); got != 1 {
 		t.Fatalf("parent = %d, want the directional parent", got)

@@ -40,7 +40,7 @@ func (r *vdmRig) add(id overlay.NodeID, degree int, cfg Config) *Node {
 func (r *vdmRig) joinAll(order ...overlay.NodeID) {
 	for i, id := range order {
 		id := id
-		r.Sim.At(float64(i)*10, func() { r.nodes[id].StartJoin() })
+		r.Sim.At(float64(i)*10, func(any) { r.nodes[id].StartJoin() }, nil)
 	}
 	r.Run(float64(len(order))*10 + 30)
 }
@@ -91,7 +91,7 @@ func TestJoinExampleIII(t *testing.T) {
 	if got := r.parentOf(t, 2); got != 1 {
 		t.Fatalf("precondition: C2's parent = %d, want C1", got)
 	}
-	r.Sim.At(r.Sim.Now()+5, func() { r.nodes[3].StartJoin() })
+	r.Sim.At(r.Sim.Now()+5, func(any) { r.nodes[3].StartJoin() }, nil)
 	r.Run(r.Sim.Now() + 30)
 
 	if got := r.parentOf(t, 3); got != 1 {
@@ -184,7 +184,7 @@ func TestJoinScenarioIIIPrefersCaseIII(t *testing.T) {
 		t.Fatalf("precondition: children under S, got parents %d, %d",
 			r.parentOf(t, 1), r.parentOf(t, 2))
 	}
-	r.Sim.At(r.Sim.Now()+5, func() { r.nodes[3].StartJoin() })
+	r.Sim.At(r.Sim.Now()+5, func(any) { r.nodes[3].StartJoin() }, nil)
 	r.Run(r.Sim.Now() + 30)
 
 	if got := r.parentOf(t, 3); got != 1 {
@@ -221,7 +221,7 @@ func TestReconnectionAtGrandparent(t *testing.T) {
 	if r.parentOf(t, 2) != 1 {
 		t.Fatal("precondition: chain not built")
 	}
-	r.Sim.At(r.Sim.Now()+1, func() { r.nodes[1].Leave() })
+	r.Sim.At(r.Sim.Now()+1, func(any) { r.nodes[1].Leave() }, nil)
 	r.Run(r.Sim.Now() + 10)
 
 	if got := r.parentOf(t, 2); got != 0 {
@@ -249,10 +249,10 @@ func TestReconnectionFallsBackToSource(t *testing.T) {
 		t.Fatal("precondition: chain not built")
 	}
 	at := r.Sim.Now() + 1
-	r.Sim.At(at, func() {
+	r.Sim.At(at, func(any) {
 		r.nodes[1].Leave()
 		r.nodes[2].Leave()
-	})
+	}, nil)
 	r.Run(at + 15) // grandparent timeout (2 s) + rejoin
 
 	if got := r.parentOf(t, 3); got != 0 {
@@ -276,7 +276,7 @@ func TestOrphanSubtreeSurvives(t *testing.T) {
 		{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 20, Y: 0}, {X: 30, Y: 0},
 	}, nil)
 	r.joinAll(1, 2, 3)
-	r.Sim.At(r.Sim.Now()+1, func() { r.nodes[1].Leave() })
+	r.Sim.At(r.Sim.Now()+1, func(any) { r.nodes[1].Leave() }, nil)
 	r.Run(r.Sim.Now() + 10)
 	if got := r.parentOf(t, 3); got != 2 {
 		t.Fatalf("grandchild's parent = %d, want its original parent", got)
@@ -303,12 +303,12 @@ func TestRefinementImprovesStaleParent(t *testing.T) {
 	r.joinAll(1)
 	// Hand-wire X under P.
 	now := r.Sim.Now()
-	r.Sim.At(now+1, func() {
+	r.Sim.At(now+1, func(any) {
 		x.MarkJoinStart()
 		r.nodes[1].HandleMessage(2, overlay.ConnRequest{Token: 999, Kind: overlay.ConnChild, Dist: 31.6})
 		x.ApplyConnect(1, 31.6, []overlay.NodeID{0, 1})
 		x.maybeScheduleRefine()
-	})
+	}, nil)
 	r.Run(now + 60) // a couple of refinement periods
 
 	if got := r.parentOf(t, 2); got != 0 {
@@ -352,8 +352,8 @@ func TestJoinTowardDeadNodeRestarts(t *testing.T) {
 	r.joinAll(1)
 	now := r.Sim.Now()
 	// C silently vanishes (no leave notification reaches N mid-join).
-	r.Sim.At(now+1, func() { r.Net.Unregister(1) })
-	r.Sim.At(now+2, func() { r.nodes[2].StartJoin() })
+	r.Sim.At(now+1, func(any) { r.Net.Unregister(1) }, nil)
+	r.Sim.At(now+2, func(any) { r.nodes[2].StartJoin() }, nil)
 	r.Run(now + 20)
 	if got := r.parentOf(t, 2); got != 0 {
 		t.Fatalf("N's parent = %d, want source after restart", got)
@@ -368,11 +368,11 @@ func TestRejoinAfterLeave(t *testing.T) {
 	}, nil)
 	r.joinAll(1)
 	now := r.Sim.Now()
-	r.Sim.At(now+1, func() { r.nodes[1].Leave() })
+	r.Sim.At(now+1, func(any) { r.nodes[1].Leave() }, nil)
 	r.Run(now + 2)
 	// Fresh instance on the same host slot.
 	n := r.add(1, 4, Config{})
-	r.Sim.At(r.Sim.Now()+1, func() { n.StartJoin() })
+	r.Sim.At(r.Sim.Now()+1, func(any) { n.StartJoin() }, nil)
 	r.Run(r.Sim.Now() + 10)
 	if !n.Connected() || n.ParentID() != 0 {
 		t.Fatal("rejoined instance not connected to source")
@@ -401,7 +401,7 @@ func TestReconnectAtSourceAblation(t *testing.T) {
 	r.nodes[2].cfg.ReconnectAtSource = true
 	r.joinAll(1, 2)
 	now := r.Sim.Now()
-	r.Sim.At(now+1, func() { r.nodes[1].Leave() })
+	r.Sim.At(now+1, func(any) { r.nodes[1].Leave() }, nil)
 	r.Run(now + 10)
 	if got := r.parentOf(t, 2); got != 0 {
 		t.Fatalf("parent = %d, want source", got)

@@ -7,7 +7,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := New()
 		for j := 0; j < 1000; j++ {
-			s.At(float64(j%97), func() {})
+			s.At(float64(j%97), func(any) {}, nil)
 		}
 		s.Run(100)
 	}
@@ -15,13 +15,13 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 
 func BenchmarkSelfRescheduling(b *testing.B) {
 	s := New()
-	var tick func()
+	var tick func(any)
 	n := 0
-	tick = func() {
+	tick = func(any) {
 		n++
-		s.After(1, tick)
+		s.After(1, tick, nil)
 	}
-	s.At(0, tick)
+	s.At(0, tick, nil)
 	b.ResetTimer()
 	s.Run(float64(b.N))
 	if n < b.N {
@@ -34,9 +34,9 @@ func BenchmarkSelfRescheduling(b *testing.B) {
 // this runs allocation-free after warm-up.
 func BenchmarkEventQ(b *testing.B) {
 	s := New()
-	var tick func()
-	tick = func() { s.After(1, tick) }
-	s.At(0, tick)
+	var tick func(any)
+	tick = func(any) { s.After(1, tick, nil) }
+	s.At(0, tick, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	s.Run(float64(b.N))

@@ -1,13 +1,16 @@
 package eventq
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestRunBeforeExcludesBoundary(t *testing.T) {
 	s := New()
 	var got []float64
 	for _, at := range []float64{1, 2, 3, 3, 4} {
 		at := at
-		s.At(at, func() { got = append(got, at) })
+		s.At(at, func(any) { got = append(got, at) }, nil)
 	}
 	s.RunBefore(3)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
@@ -20,17 +23,17 @@ func TestRunBeforeExcludesBoundary(t *testing.T) {
 		t.Fatalf("%d pending, want 3", s.Pending())
 	}
 	// Scheduling at exactly now must still be legal after the clock moved.
-	s.At(3, func() { got = append(got, 3.5) })
+	s.At(3, func(any) { got = append(got, 3.5) }, nil)
 }
 
 func TestRunBandFiresSetupBandOnly(t *testing.T) {
 	s := New()
 	var got []string
-	s.At(5, func() { got = append(got, "setup-a") })
-	s.At(5, func() { got = append(got, "setup-b") })
-	s.At(2, func() { got = append(got, "early") })
+	s.At(5, func(any) { got = append(got, "setup-a") }, nil)
+	s.At(5, func(any) { got = append(got, "setup-b") }, nil)
+	s.At(2, func(any) { got = append(got, "early") }, nil)
 	s.SetSeqBase(1 << 40)
-	s.At(5, func() { got = append(got, "runtime") })
+	s.At(5, func(any) { got = append(got, "runtime") }, nil)
 
 	s.RunBand(5, 1<<40)
 	want := []string{"early", "setup-a", "setup-b"}
@@ -56,8 +59,8 @@ func TestNextAt(t *testing.T) {
 	if _, ok := s.NextAt(); ok {
 		t.Fatal("NextAt reported an event on an empty queue")
 	}
-	s.At(7, func() {})
-	s.At(3, func() {})
+	s.At(7, func(any) {}, nil)
+	s.At(3, func(any) {}, nil)
 	if at, ok := s.NextAt(); !ok || at != 3 {
 		t.Fatalf("NextAt = %v, %v; want 3, true", at, ok)
 	}
@@ -68,7 +71,7 @@ func TestSetSeqBaseOnlyRaises(t *testing.T) {
 	s.SetSeqBase(100)
 	s.SetSeqBase(50) // must not lower
 	var got []int
-	s.At(1, func() { got = append(got, 1) }) // seq ≥ 101
+	s.At(1, func(any) { got = append(got, 1) }, nil) // seq ≥ 101
 	s.RunBand(1, 100)
 	if len(got) != 0 {
 		t.Fatal("event below a lowered seq base fired inside the band")
@@ -86,9 +89,9 @@ func TestFreeListShrinksAfterSpike(t *testing.T) {
 	s := New()
 	const spike = 50000
 	for i := 0; i < spike; i++ {
-		s.At(float64(i), func() {})
+		s.At(float64(i), func(any) {}, nil)
 	}
-	s.Drain()
+	s.Run(math.Inf(1))
 	if got := s.FreeLen(); got > DefaultFreeSlack {
 		t.Fatalf("free list holds %d events after the spike drained, want ≤ %d", got, DefaultFreeSlack)
 	}
@@ -96,15 +99,15 @@ func TestFreeListShrinksAfterSpike(t *testing.T) {
 	// Steady state afterwards still reuses events rather than allocating:
 	// a self-rescheduling chain keeps the list near its small cushion.
 	n := 0
-	var tick func()
-	tick = func() {
+	var tick func(any)
+	tick = func(any) {
 		n++
 		if n < 10000 {
-			s.After(1, tick)
+			s.After(1, tick, nil)
 		}
 	}
-	s.After(1, tick)
-	s.Drain()
+	s.After(1, tick, nil)
+	s.Run(math.Inf(1))
 	if got := s.FreeLen(); got > DefaultFreeSlack {
 		t.Fatalf("free list grew to %d in steady state, want ≤ %d", got, DefaultFreeSlack)
 	}

@@ -4,26 +4,27 @@
 // Time is virtual and measured in seconds (float64). Events scheduled for
 // the same instant fire in scheduling order, which — together with seeded
 // random streams — makes every run fully deterministic.
+//
+// There is one scheduling form: a static callback plus an argument,
+// fn(arg). Hot callers (message delivery, protocol timeouts, periodic
+// ticks) pass a package-level function and a recycled record, so a
+// steady-state simulation allocates neither closures nor event structs.
+// Callers that need a closure pass func(any){…} and a nil argument.
 package eventq
 
 import (
 	"container/heap"
 	"fmt"
+	"math"
 )
 
-// Event is a callback scheduled to run at a virtual time. An event holds
-// either a plain callback fn or an arg-carrying callback fnArg+arg
-// (scheduled via AtArg); the latter lets hot callers schedule a static
-// function with a recycled argument record instead of allocating a
-// closure per event.
+// event is one scheduled callback fn(arg) at virtual time at.
 type event struct {
-	at    float64
-	seq   uint64
-	fn    func()
-	fnArg func(any)
-	arg   any
-	timer bool   // arg-form event that is a timer, not a delivery
-	next  *event // free-list link while recycled
+	at   float64
+	seq  uint64
+	fn   func(any)
+	arg  any
+	next *event // free-list link while recycled
 }
 
 type eventHeap []*event
@@ -53,12 +54,10 @@ func (h *eventHeap) Pop() any {
 // Sim is a single-threaded discrete-event simulator.
 // The zero value is not usable; call New.
 type Sim struct {
-	now          float64
-	seq          uint64
-	events       eventHeap
-	processed    uint64
-	processedArg uint64
-	stopped      bool
+	now       float64
+	seq       uint64
+	events    eventHeap
+	processed uint64
 
 	// free holds fired events for reuse, so a steady-state simulation
 	// (every fired event schedules a successor) allocates no event
@@ -67,9 +66,6 @@ type Sim struct {
 	// of the run.
 	free    *event
 	freeLen int
-
-	// freeSlack overrides DefaultFreeSlack when positive (SetFreeSlack).
-	freeSlack int
 }
 
 // DefaultFreeSlack is how many recycled events the free list may hold
@@ -79,13 +75,7 @@ type Sim struct {
 // when the pending count collapses from its burst peak.
 const DefaultFreeSlack = 256
 
-// SetFreeSlack tunes the free-list decay cap (n <= 0 restores the
-// default). Large-population sessions set a tighter cap than the default
-// once their join phase drains, so burst residue is returned to the GC
-// instead of being pinned for the steady-state remainder of the run.
-func (s *Sim) SetFreeSlack(n int) { s.freeSlack = n }
-
-// trimInterval is how often (in processed events) the run loops check the
+// trimInterval is how often (in processed events) the run loop checks the
 // free list, as a power-of-two mask.
 const trimInterval = 4096 - 1
 
@@ -93,11 +83,7 @@ const trimInterval = 4096 - 1
 // slack cushion. Without this, a burst that grows the heap to N pins ~N
 // recycled event structs for the rest of the run.
 func (s *Sim) trimFree() {
-	slack := s.freeSlack
-	if slack <= 0 {
-		slack = DefaultFreeSlack
-	}
-	limit := len(s.events) + slack
+	limit := len(s.events) + DefaultFreeSlack
 	for s.freeLen > limit {
 		e := s.free
 		s.free = e.next
@@ -108,30 +94,6 @@ func (s *Sim) trimFree() {
 
 // FreeLen reports how many recycled events the free list currently holds.
 func (s *Sim) FreeLen() int { return s.freeLen }
-
-// alloc takes an event off the free list, or makes one.
-func (s *Sim) alloc(at float64, fn func()) *event {
-	e := s.free
-	if e == nil {
-		e = &event{}
-	} else {
-		s.free = e.next
-		e.next = nil
-		s.freeLen--
-	}
-	s.seq++
-	e.at, e.seq, e.fn = at, s.seq, fn
-	return e
-}
-
-// recycle puts a fired event on the free list. The callback and argument
-// are dropped immediately so recycled events never pin their captures.
-func (s *Sim) recycle(e *event) {
-	e.fn, e.fnArg, e.arg, e.timer = nil, nil, nil, false
-	e.next = s.free
-	s.free = e
-	s.freeLen++
-}
 
 // New returns an empty simulator with the clock at zero.
 func New() *Sim {
@@ -144,77 +106,36 @@ func (s *Sim) Now() float64 { return s.now }
 // Processed reports how many events have fired so far.
 func (s *Sim) Processed() uint64 { return s.processed }
 
-// ProcessedArg reports how many of the fired events were scheduled in the
-// arg-carrying form (AtArg/AfterArg). Message deliveries use that form and
-// timers/closures use the plain one, so the split is a cheap
-// delivery-vs-timer classification for the engine profiler.
-func (s *Sim) ProcessedArg() uint64 { return s.processedArg }
-
 // Pending reports how many events are scheduled but not yet fired.
 func (s *Sim) Pending() int { return len(s.events) }
 
-// At schedules fn to run at absolute virtual time t.
-// Scheduling in the past panics: that is always a protocol bug.
-func (s *Sim) At(t float64, fn func()) {
+// At schedules fn(arg) at absolute virtual time t, taking the next
+// sequence number. The event struct comes off the free list when one is
+// there. Scheduling in the past panics: that is always a protocol bug.
+func (s *Sim) At(t float64, fn func(any), arg any) {
 	if t < s.now {
 		panic(fmt.Sprintf("eventq: scheduling at %v before now %v", t, s.now))
 	}
-	heap.Push(&s.events, s.alloc(t, fn))
-}
-
-// After schedules fn to run d seconds from now.
-func (s *Sim) After(d float64, fn func()) {
-	if d < 0 {
-		d = 0
+	e := s.free
+	if e == nil {
+		e = &event{}
+	} else {
+		s.free = e.next
+		e.next = nil
+		s.freeLen--
 	}
-	s.At(s.now+d, fn)
-}
-
-// AtArg schedules fn(arg) at absolute virtual time t. Passing a static
-// function plus a reusable argument record avoids the per-event closure
-// allocation that At's fn would cost on hot paths (message delivery
-// schedules millions of events per simulated session).
-func (s *Sim) AtArg(t float64, fn func(any), arg any) {
-	if t < s.now {
-		panic(fmt.Sprintf("eventq: scheduling at %v before now %v", t, s.now))
-	}
-	e := s.alloc(t, nil)
-	e.fnArg, e.arg = fn, arg
+	s.seq++
+	e.at, e.seq, e.fn, e.arg = t, s.seq, fn, arg
 	heap.Push(&s.events, e)
 }
 
-// AfterArg schedules fn(arg) d seconds from now.
-func (s *Sim) AfterArg(d float64, fn func(any), arg any) {
+// After schedules fn(arg) d seconds from now (a negative d means now).
+func (s *Sim) After(d float64, fn func(any), arg any) {
 	if d < 0 {
 		d = 0
 	}
-	s.AtArg(s.now+d, fn, arg)
+	s.At(s.now+d, fn, arg)
 }
-
-// AtTimer schedules fn(arg) at absolute time t like AtArg, but keeps the
-// event out of the ProcessedArg (delivery) count: it is a timer that
-// merely uses the allocation-free arg-carrying form. Protocol timeouts
-// and periodic ticks use this so the engine profiler's delivery-vs-timer
-// split stays truthful.
-func (s *Sim) AtTimer(t float64, fn func(any), arg any) {
-	if t < s.now {
-		panic(fmt.Sprintf("eventq: scheduling at %v before now %v", t, s.now))
-	}
-	e := s.alloc(t, nil)
-	e.fnArg, e.arg, e.timer = fn, arg, true
-	heap.Push(&s.events, e)
-}
-
-// AfterTimer schedules fn(arg) d seconds from now (see AtTimer).
-func (s *Sim) AfterTimer(d float64, fn func(any), arg any) {
-	if d < 0 {
-		d = 0
-	}
-	s.AtTimer(s.now+d, fn, arg)
-}
-
-// Stop aborts a Run in progress after the current event returns.
-func (s *Sim) Stop() { s.stopped = true }
 
 // SetSeqBase raises the sequence counter to at least base. The simulator
 // uses this to separate "setup" events (tick starter, scripted scenario
@@ -237,60 +158,16 @@ func (s *Sim) NextAt() (float64, bool) {
 	return s.events[0].at, true
 }
 
-// fire pops and executes the head event.
-func (s *Sim) fire() {
-	next := heap.Pop(&s.events).(*event)
-	s.now = next.at
-	s.processed++
-	if s.processed&trimInterval == 0 {
-		s.trimFree()
-	}
-	fn, fnArg, arg, timer := next.fn, next.fnArg, next.arg, next.timer
-	s.recycle(next)
-	if fnArg != nil {
-		if !timer {
-			s.processedArg++
-		}
-		fnArg(arg)
-	} else {
-		fn()
-	}
-}
-
 // Run fires events in timestamp order until the queue is empty or the next
 // event is later than until. The clock is left at until when it would
-// otherwise end earlier.
-func (s *Sim) Run(until float64) {
-	s.stopped = false
-	for len(s.events) > 0 && !s.stopped {
-		if s.events[0].at > until {
-			break
-		}
-		s.fire()
-	}
-	if s.now < until {
-		s.now = until
-	}
-	s.trimFree()
-}
+// otherwise end earlier; Run(math.Inf(1)) drains the queue.
+func (s *Sim) Run(until float64) { s.RunBand(until, math.MaxUint64) }
 
 // RunBefore fires every event strictly earlier than t and leaves the
 // clock at t. It is the epoch step of the simulator: events at
 // exactly t belong to the next epoch (or to the barrier band, see
 // RunBand).
-func (s *Sim) RunBefore(t float64) {
-	s.stopped = false
-	for len(s.events) > 0 && !s.stopped {
-		if s.events[0].at >= t {
-			break
-		}
-		s.fire()
-	}
-	if s.now < t {
-		s.now = t
-	}
-	s.trimFree()
-}
+func (s *Sim) RunBefore(t float64) { s.RunBand(t, 0) }
 
 // RunBand fires every event strictly earlier than t, plus the events at
 // exactly t whose sequence number is below seqBelow (the setup band — see
@@ -298,26 +175,33 @@ func (s *Sim) RunBefore(t float64) {
 // exactly t stay queued for the next epoch: setup events at an instant
 // carry lower sequence numbers than anything scheduled while the run is
 // in flight, so they fire first, as one Run would fire them.
+//
+// This is the one run loop: Run is RunBand(t, MaxUint64) and RunBefore
+// is RunBand(t, 0).
 func (s *Sim) RunBand(t float64, seqBelow uint64) {
-	s.stopped = false
-	for len(s.events) > 0 && !s.stopped {
+	for len(s.events) > 0 {
 		head := s.events[0]
 		if head.at > t || (head.at == t && head.seq >= seqBelow) {
 			break
 		}
-		s.fire()
+		heap.Pop(&s.events)
+		s.now = head.at
+		s.processed++
+		if s.processed&trimInterval == 0 {
+			s.trimFree()
+		}
+		// Recycle before firing, dropping the callback and argument so a
+		// recycled event never pins them; the callback may then reuse the
+		// struct for the event it schedules.
+		fn, arg := head.fn, head.arg
+		head.fn, head.arg = nil, nil
+		head.next = s.free
+		s.free = head
+		s.freeLen++
+		fn(arg)
 	}
 	if s.now < t {
 		s.now = t
-	}
-	s.trimFree()
-}
-
-// Drain runs every remaining event regardless of timestamp.
-func (s *Sim) Drain() {
-	s.stopped = false
-	for len(s.events) > 0 && !s.stopped {
-		s.fire()
 	}
 	s.trimFree()
 }

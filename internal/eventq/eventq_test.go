@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -12,7 +13,7 @@ func TestFiresInTimestampOrder(t *testing.T) {
 	var got []float64
 	for _, at := range []float64{5, 1, 3, 2, 4} {
 		at := at
-		s.At(at, func() { got = append(got, at) })
+		s.At(at, func(any) { got = append(got, at) }, nil)
 	}
 	s.Run(10)
 	want := []float64{1, 2, 3, 4, 5}
@@ -31,7 +32,7 @@ func TestEqualTimestampsFireInScheduleOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(1, func() { got = append(got, i) })
+		s.At(1, func(any) { got = append(got, i) }, nil)
 	}
 	s.Run(2)
 	for i, v := range got {
@@ -44,8 +45,8 @@ func TestEqualTimestampsFireInScheduleOrder(t *testing.T) {
 func TestRunUntilLeavesLaterEvents(t *testing.T) {
 	s := New()
 	fired := 0
-	s.At(1, func() { fired++ })
-	s.At(5, func() { fired++ })
+	s.At(1, func(any) { fired++ }, nil)
+	s.At(5, func(any) { fired++ }, nil)
 	s.Run(3)
 	if fired != 1 {
 		t.Fatalf("fired %d events before t=3, want 1", fired)
@@ -73,9 +74,9 @@ func TestClockAdvancesToUntilOnEmptyQueue(t *testing.T) {
 func TestAfterSchedulesRelative(t *testing.T) {
 	s := New()
 	var at float64
-	s.At(10, func() {
-		s.After(5, func() { at = s.Now() })
-	})
+	s.At(10, func(any) {
+		s.After(5, func(any) { at = s.Now() }, nil)
+	}, nil)
 	s.Run(100)
 	if at != 15 {
 		t.Fatalf("After fired at %v, want 15", at)
@@ -85,7 +86,7 @@ func TestAfterSchedulesRelative(t *testing.T) {
 func TestAfterClampsNegativeDelay(t *testing.T) {
 	s := New()
 	fired := false
-	s.At(10, func() { s.After(-3, func() { fired = true }) })
+	s.At(10, func(any) { s.After(-3, func(any) { fired = true }, nil) }, nil)
 	s.Run(100)
 	if !fired {
 		t.Fatal("negative-delay event never fired")
@@ -94,33 +95,22 @@ func TestAfterClampsNegativeDelay(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := New()
-	s.At(10, func() {})
+	s.At(10, func(any) {}, nil)
 	s.Run(20)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic when scheduling before now")
 		}
 	}()
-	s.At(5, func() {})
-}
-
-func TestStopAbortsRun(t *testing.T) {
-	s := New()
-	fired := 0
-	s.At(1, func() { fired++; s.Stop() })
-	s.At(2, func() { fired++ })
-	s.Run(10)
-	if fired != 1 {
-		t.Fatalf("fired %d, want 1 (stopped)", fired)
-	}
+	s.At(5, func(any) {}, nil)
 }
 
 func TestDrainRunsEverything(t *testing.T) {
 	s := New()
 	fired := 0
-	s.At(1, func() { fired++ })
-	s.At(1e9, func() { fired++ })
-	s.Drain()
+	s.At(1, func(any) { fired++ }, nil)
+	s.At(1e9, func(any) { fired++ }, nil)
+	s.Run(math.Inf(1))
 	if fired != 2 {
 		t.Fatalf("drain fired %d, want 2", fired)
 	}
@@ -132,14 +122,14 @@ func TestDrainRunsEverything(t *testing.T) {
 func TestEventsScheduledDuringRunFire(t *testing.T) {
 	s := New()
 	depth := 0
-	var recurse func()
-	recurse = func() {
+	var recurse func(any)
+	recurse = func(any) {
 		if depth < 100 {
 			depth++
-			s.After(0.5, recurse)
+			s.After(0.5, recurse, nil)
 		}
 	}
-	s.At(0, recurse)
+	s.At(0, recurse, nil)
 	s.Run(60)
 	if depth != 100 {
 		t.Fatalf("chained to depth %d, want 100", depth)
@@ -157,7 +147,7 @@ func TestPropertyRandomScheduleSorted(t *testing.T) {
 		for i := range times {
 			times[i] = rnd.Float64() * 1000
 			at := times[i]
-			s.At(at, func() { fired = append(fired, at) })
+			s.At(at, func(any) { fired = append(fired, at) }, nil)
 		}
 		s.Run(2000)
 		if len(fired) != count {
@@ -175,9 +165,9 @@ func TestPropertyRandomScheduleSorted(t *testing.T) {
 // structs instead of allocating.
 func TestEventFreeListReuse(t *testing.T) {
 	s := New()
-	var tick func()
-	tick = func() { s.After(1, tick) }
-	s.At(0, tick)
+	var tick func(any)
+	tick = func(any) { s.After(1, tick, nil) }
+	s.At(0, tick, nil)
 	s.Run(16) // warm up the free list
 	allocs := testing.AllocsPerRun(100, func() {
 		s.Run(s.Now() + 8)
@@ -187,16 +177,16 @@ func TestEventFreeListReuse(t *testing.T) {
 	}
 }
 
-// TestFreeListDropsClosure checks a recycled event does not pin the
-// fired callback.
+// TestFreeListDropsClosure checks a recycled event pins neither the
+// fired callback nor its argument.
 func TestFreeListDropsClosure(t *testing.T) {
 	s := New()
-	s.At(1, func() {})
+	s.At(1, func(any) {}, new(int))
 	s.Run(2)
 	if s.free == nil {
 		t.Fatal("fired event not recycled")
 	}
-	if s.free.fn != nil {
-		t.Fatal("recycled event retains its closure")
+	if s.free.fn != nil || s.free.arg != nil {
+		t.Fatal("recycled event retains its callback or argument")
 	}
 }

@@ -161,11 +161,11 @@ func (n *Node) sendInfo(js *joinState, target overlay.NodeID) {
 	n.Net().Send(n.ID(), target, overlay.InfoRequest{Token: js.token})
 
 	tok := js.token
-	n.Net().After(n.InfoTimeoutS, func() {
+	n.Net().After(n.InfoTimeoutS, func(any) {
 		if n.join == js && js.stage == stageInfo && js.token == tok {
 			n.onTargetUnusable(js)
 		}
-	})
+	}, nil)
 }
 
 func (n *Node) onTargetUnusable(js *joinState) {
@@ -263,7 +263,7 @@ func (n *Node) connect(js *joinState, to overlay.NodeID) {
 	})
 
 	tok := js.token
-	n.Net().After(n.ConnTimeoutS, func() {
+	n.Net().After(n.ConnTimeoutS, func(any) {
 		if n.join == js && js.stage == stageConn && js.token == tok {
 			if js.purpose == purposeRefine {
 				n.EndSwitch()
@@ -272,7 +272,7 @@ func (n *Node) connect(js *joinState, to overlay.NodeID) {
 			}
 			n.restart(js)
 		}
-	})
+	}, nil)
 }
 
 func (n *Node) onConnResponse(from overlay.NodeID, m overlay.ConnResponse) {
@@ -348,11 +348,11 @@ func (n *Node) restart(js *joinState) {
 		return
 	}
 	if attempts >= n.cfg.MaxAttempts {
-		n.Net().After(n.cfg.RetryBackoffS, func() {
+		n.Net().After(n.cfg.RetryBackoffS, func(any) {
 			if n.Alive() && !n.Connected() && n.join == nil {
 				n.beginWith(js.purpose, n.Source(), 0)
 			}
-		})
+		}, nil)
 		return
 	}
 	n.beginWith(js.purpose, n.Source(), attempts)
@@ -373,7 +373,7 @@ func (n *Node) scheduleRefine() {
 	if n.rnd != nil {
 		period *= n.rnd.Uniform(0.9, 1.1)
 	}
-	n.Net().After(period, func() {
+	n.Net().After(period, func(any) {
 		if !n.Alive() {
 			return
 		}
@@ -381,7 +381,7 @@ func (n *Node) scheduleRefine() {
 			n.begin(purposeRefine, n.refineStart())
 		}
 		n.scheduleRefine()
-	})
+	}, nil)
 }
 
 // refineStart picks a random node on the root path — HMTP re-runs the join

@@ -36,7 +36,7 @@ func (r *hmtpRig) add(id overlay.NodeID, degree int, cfg Config) *Node {
 func (r *hmtpRig) joinAll(order ...overlay.NodeID) {
 	for i, id := range order {
 		id := id
-		r.Sim.At(float64(i)*10, func() { r.nodes[id].StartJoin() })
+		r.Sim.At(float64(i)*10, func(any) { r.nodes[id].StartJoin() }, nil)
 	}
 	r.Run(float64(len(order))*10 + 30)
 }
@@ -126,7 +126,7 @@ func TestRefinementSwitchesToCloserPeer(t *testing.T) {
 
 	r.joinAll(1) // P under S
 	now := r.Sim.Now()
-	r.Sim.At(now+1, func() {
+	r.Sim.At(now+1, func(any) {
 		x.MarkJoinStart()
 		r.nodes[1].HandleMessage(2, overlay.ConnRequest{Token: 99, Kind: overlay.ConnChild, Dist: 31.6})
 		x.ApplyConnect(1, 31.6, []overlay.NodeID{0, 1})
@@ -136,7 +136,7 @@ func TestRefinementSwitchesToCloserPeer(t *testing.T) {
 		q.MarkJoinStart()
 		r.nodes[0].HandleMessage(3, overlay.ConnRequest{Token: 98, Kind: overlay.ConnChild, Dist: 39.01})
 		q.ApplyConnect(0, 39.01, []overlay.NodeID{0})
-	})
+	}, nil)
 	r.Run(now + 160) // several refinement rounds (random root-path start)
 
 	if got := r.parentOf(t, 2); got != 3 {
@@ -175,7 +175,7 @@ func TestReconnectionAtGrandparent(t *testing.T) {
 		t.Fatal("precondition failed")
 	}
 	now := r.Sim.Now()
-	r.Sim.At(now+1, func() { r.nodes[1].Leave() })
+	r.Sim.At(now+1, func(any) { r.nodes[1].Leave() }, nil)
 	r.Run(now + 10)
 	if got := r.parentOf(t, 2); got != 0 {
 		t.Fatalf("orphan's parent = %d, want grandparent (source)", got)
@@ -192,8 +192,8 @@ func TestJoinRestartsWhenTargetDies(t *testing.T) {
 	}, nil)
 	r.joinAll(1)
 	now := r.Sim.Now()
-	r.Sim.At(now+1, func() { r.Net.Unregister(1) })
-	r.Sim.At(now+2, func() { r.nodes[2].StartJoin() })
+	r.Sim.At(now+1, func(any) { r.Net.Unregister(1) }, nil)
+	r.Sim.At(now+2, func(any) { r.nodes[2].StartJoin() }, nil)
 	r.Run(now + 20)
 	if got := r.parentOf(t, 2); got != 0 {
 		t.Fatalf("parent = %d, want source after restart", got)

@@ -18,9 +18,9 @@ func TestJoinBacksOffAndRecovers(t *testing.T) {
 	src := r.nodes[0]
 
 	r.Net.Unregister(0)
-	r.Sim.At(1, func() { n.StartJoin() })
+	r.Sim.At(1, func(any) { n.StartJoin() }, nil)
 	// MaxAttempts(5) × info timeout (2 s) ≈ 10 s, plus 5 s backoff.
-	r.Sim.At(12, func() { r.Net.Register(0, src) })
+	r.Sim.At(12, func(any) { r.Net.Register(0, src) }, nil)
 	r.Run(40)
 
 	if !n.Connected() {
@@ -48,10 +48,10 @@ func TestRefineAbortsWhenStartDies(t *testing.T) {
 	}
 	// Fire a refinement by hand at a dead start node.
 	now := r.Sim.Now()
-	r.Sim.At(now+1, func() {
+	r.Sim.At(now+1, func(any) {
 		r.Net.Unregister(0) // kill the root path's head
 		n.begin(purposeRefine, 0)
-	})
+	}, nil)
 	r.Run(now + 10)
 	if n.Joining() {
 		t.Fatal("refinement stuck after target death")

@@ -300,9 +300,9 @@ func (b *peerBus) SendFanout(from overlay.NodeID, tos []overlay.NodeID, m overla
 	return failed
 }
 
-// After schedules fn on the peer's mailbox loop d seconds from now. The
+// After posts fn(arg) to the peer's mailbox loop d seconds from now. The
 // timer is cancelled when the peer stops.
-func (b *peerBus) After(d float64, fn func()) {
+func (b *peerBus) After(d float64, fn func(any), arg any) {
 	p := b.peer
 	p.mu.Lock()
 	if p.stopped {
@@ -314,7 +314,7 @@ func (b *peerBus) After(d float64, fn func()) {
 		p.mu.Lock()
 		delete(p.timers, t)
 		p.mu.Unlock()
-		p.post(fn)
+		p.post(func() { fn(arg) })
 	})
 	p.timers[t] = struct{}{}
 	p.mu.Unlock()

@@ -343,7 +343,7 @@ func TestPeerStopCancelsTimers(t *testing.T) {
 
 	fired := make(chan struct{}, 1)
 	ok := p.Call(func() {
-		node.Base().Net().After(0.05, func() { fired <- struct{}{} })
+		node.Base().Net().After(0.05, func(any) { fired <- struct{}{} }, nil)
 	})
 	if !ok {
 		t.Fatal("Call on a running peer failed")

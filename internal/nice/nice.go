@@ -137,11 +137,11 @@ func (n *Node) sendInfo(js *joinState, target overlay.NodeID) {
 	js.token = n.token
 	n.Net().Send(n.ID(), target, overlay.InfoRequest{Token: js.token})
 	tok := js.token
-	n.Net().After(n.InfoTimeoutS, func() {
+	n.Net().After(n.InfoTimeoutS, func(any) {
 		if n.join == js && js.stage == stageInfo && js.token == tok {
 			n.restart(js)
 		}
-	})
+	}, nil)
 }
 
 // HandleProtocol consumes descent responses and cluster-split directives.
@@ -243,11 +243,11 @@ func (n *Node) connect(js *joinState, to overlay.NodeID) {
 	dist := js.dists[to]
 	n.Net().Send(n.ID(), to, overlay.ConnRequest{Token: js.token, Kind: overlay.ConnChild, Dist: dist})
 	tok := js.token
-	n.Net().After(n.ConnTimeoutS, func() {
+	n.Net().After(n.ConnTimeoutS, func(any) {
 		if n.join == js && js.stage == stageConn && js.token == tok {
 			n.restart(js)
 		}
-	})
+	}, nil)
 }
 
 func (n *Node) onConnResponse(from overlay.NodeID, m overlay.ConnResponse) {
@@ -314,11 +314,11 @@ func (n *Node) restart(js *joinState) {
 	attempts := js.attempts + 1
 	n.join = nil
 	if attempts >= n.cfg.MaxAttempts {
-		n.Net().After(n.cfg.RetryBackoffS, func() {
+		n.Net().After(n.cfg.RetryBackoffS, func(any) {
 			if n.Alive() && !n.Connected() && n.join == nil {
 				n.begin(0)
 			}
-		})
+		}, nil)
 		return
 	}
 	n.begin(attempts)
@@ -339,7 +339,7 @@ func (n *Node) scheduleMaintenance() {
 	if n.rnd != nil {
 		period *= n.rnd.Uniform(0.8, 1.2)
 	}
-	n.Net().After(period, func() {
+	n.Net().After(period, func(any) {
 		if !n.Alive() {
 			return
 		}
@@ -348,7 +348,7 @@ func (n *Node) scheduleMaintenance() {
 			n.CheckMerge()
 		}
 		n.scheduleMaintenance()
-	})
+	}, nil)
 }
 
 // CheckMerge dissolves this node's cluster when it has shrunk below K
@@ -451,11 +451,11 @@ func (n *Node) onReassign(from overlay.NodeID, m overlay.Reassign) {
 		js.token = n.token
 		n.Net().Send(n.ID(), m.To, overlay.ConnRequest{Token: js.token, Kind: overlay.ConnChild, Dist: d})
 		tok2 := js.token
-		n.Net().After(n.ConnTimeoutS, func() {
+		n.Net().After(n.ConnTimeoutS, func(any) {
 			if n.join == js && js.stage == stageConn && js.token == tok2 {
 				n.EndSwitch()
 				n.join = nil
 			}
-		})
+		}, nil)
 	})
 }

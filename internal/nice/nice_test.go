@@ -29,7 +29,7 @@ func newRig(t *testing.T, points []protocoltest.Point) *niceRig {
 func (r *niceRig) joinAll(order ...overlay.NodeID) {
 	for i, id := range order {
 		id := id
-		r.Sim.At(float64(i)*10, func() { r.nodes[id].StartJoin() })
+		r.Sim.At(float64(i)*10, func(any) { r.nodes[id].StartJoin() }, nil)
 	}
 	r.Run(float64(len(order))*10 + 30)
 }
@@ -157,7 +157,7 @@ func TestLeaderFailureRecovery(t *testing.T) {
 	now := r.Sim.Now()
 	ln := r.nodes[leader]
 	delete(r.nodes, leader)
-	r.Sim.At(now+1, func() { ln.Leave() })
+	r.Sim.At(now+1, func(any) { ln.Leave() }, nil)
 	r.Run(now + 60)
 	r.rootedAll(t)
 }
@@ -194,7 +194,7 @@ func TestUnderflowMergesCluster(t *testing.T) {
 		if c != leader {
 			ln := r.nodes[c]
 			delete(r.nodes, c)
-			r.Sim.At(now+0.5, func() { ln.Leave() })
+			r.Sim.At(now+0.5, func(any) { ln.Leave() }, nil)
 			break
 		}
 	}
@@ -206,7 +206,7 @@ func TestUnderflowMergesCluster(t *testing.T) {
 		c := c
 		ln := r.nodes[c]
 		delete(r.nodes, c)
-		r.Sim.At(now+1+float64(i), func() { ln.Leave() })
+		r.Sim.At(now+1+float64(i), func(any) { ln.Leave() }, nil)
 	}
 	r.Run(now + 120) // several maintenance periods
 

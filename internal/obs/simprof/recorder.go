@@ -64,10 +64,10 @@ type RunInfo struct {
 // ShardState is one event queue's cumulative state, read by the engine at
 // a flush barrier, one entry per shard.
 type ShardState struct {
-	Processed    uint64 // events fired so far
-	ProcessedArg uint64 // arg-form (delivery) events fired so far
-	Queue        int    // pending events
-	Free         int    // recycled events on the free list
+	Processed  uint64 // events fired so far
+	Deliveries uint64 // message deliveries among them
+	Queue      int    // pending events
+	Free       int    // recycled events on the free list
 }
 
 // EngineMetrics are the registry-exported engine counters. All methods on
@@ -110,8 +110,8 @@ type Recorder struct {
 	probes []*Probe
 
 	// Cumulative per-queue readings at the previous flush.
-	prevEvents []uint64
-	prevArg    []uint64
+	prevEvents     []uint64
+	prevDeliveries []uint64
 
 	// Interval accumulators (reset at each flush). busyNS/waitNS cover
 	// only the timing-sampled epochs (timedEpochs of epochs); Flush scales
@@ -145,18 +145,18 @@ type Recorder struct {
 func NewRecorder(opts Options, info RunInfo, queues int) *Recorder {
 	opts = opts.withDefaults()
 	r := &Recorder{
-		opts:       opts,
-		info:       info,
-		w:          NewWriter(opts.W),
-		prevEvents: make([]uint64, queues),
-		prevArg:    make([]uint64, queues),
-		busyNS:     make([]int64, queues),
-		waitNS:     make([]int64, queues),
-		peers:      make([]uint64, info.Pool),
-		edges:      make(map[uint64]uint64),
-		nextFlush:  opts.EveryS,
-		flushIdx:   1,
-		lastWall:   time.Now(),
+		opts:           opts,
+		info:           info,
+		w:              NewWriter(opts.W),
+		prevEvents:     make([]uint64, queues),
+		prevDeliveries: make([]uint64, queues),
+		busyNS:         make([]int64, queues),
+		waitNS:         make([]int64, queues),
+		peers:          make([]uint64, info.Pool),
+		edges:          make(map[uint64]uint64),
+		nextFlush:      opts.EveryS,
+		flushIdx:       1,
+		lastWall:       time.Now(),
 	}
 	for i := 0; i < queues; i++ {
 		r.probes = append(r.probes, newProbe(info.Pool))
@@ -237,7 +237,7 @@ func (r *Recorder) Flush(t float64, states []ShardState, protoFn func() Proto) {
 	for i, st := range states {
 		ev := st.Processed - r.prevEvents[i]
 		rec.Events += ev
-		rec.Deliveries += st.ProcessedArg - r.prevArg[i]
+		rec.Deliveries += st.Deliveries - r.prevDeliveries[i]
 		rec.Queue += st.Queue
 		rec.Free += st.Free
 		rows = append(rows, ShardRow{
@@ -248,7 +248,7 @@ func (r *Recorder) Flush(t float64, states []ShardState, protoFn func() Proto) {
 			WaitMS: float64(r.waitNS[i]) * scale / 1e6,
 		})
 		r.prevEvents[i] = st.Processed
-		r.prevArg[i] = st.ProcessedArg
+		r.prevDeliveries[i] = st.Deliveries
 		r.busyNS[i], r.waitNS[i] = 0, 0
 	}
 	rec.Timers = rec.Events - rec.Deliveries

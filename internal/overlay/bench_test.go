@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"math"
 	"testing"
 
 	"vdm/internal/eventq"
@@ -57,7 +58,7 @@ func BenchmarkChunkFanout(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src.EmitChunk(int64(i))
-		sim.Drain()
+		sim.Run(math.Inf(1))
 	}
 	_ = net
 }

@@ -19,9 +19,13 @@ type Bus interface {
 	// known/registered at send time (a transport-level failure signal,
 	// standing for a TCP reset).
 	Send(from, to NodeID, m Message) bool
-	// After schedules fn to run d seconds from now, serialized with the
-	// owning peer's message handling.
-	After(d float64, fn func())
+	// After schedules fn(arg) to run d seconds from now, serialized with
+	// the owning peer's message handling. Timers that recur per peer
+	// (tickers, join and probe timeouts) pass a package-level fn and a
+	// pointer arg: the simulator recycles its events through a free list,
+	// so that form allocates nothing per timer even in a join storm.
+	// One-off timers pass a closure and a nil arg.
+	After(d float64, fn func(any), arg any)
 	// Now returns the bus clock in seconds. Virtual seconds in the
 	// simulator, seconds since session start in the live runtime; only
 	// differences are meaningful to protocol code.
@@ -54,17 +58,4 @@ type FanoutBus interface {
 // don't implement it and report an effective depth of zero.
 type DepthBus interface {
 	DataQueueDepth(to NodeID) int
-}
-
-// ArgBus is an optional Bus capability: schedule a timer as a shared
-// callback plus argument instead of a fresh closure. The simulator's
-// event queues recycle arg-carrying events through a free list, so
-// protocol timers scheduled this way allocate nothing in steady state —
-// which matters during join storms, when hundreds of thousands of
-// timeout timers are scheduled per virtual second. Buses without the
-// capability (the live runtime) take the closure path; callers must
-// treat AfterArg(d, fn, arg) as semantically identical to
-// After(d, func() { fn(arg) }).
-type ArgBus interface {
-	AfterArg(d float64, fn func(any), arg any)
 }

@@ -208,13 +208,13 @@ func newFlowState(p *Peer, cfg flow.Config) *flowState {
 }
 
 func (f *flowState) tickLater() {
-	f.p.net.After(f.cfg.TickS, func() {
+	f.p.net.After(f.cfg.TickS, func(any) {
 		if !f.p.alive {
 			return
 		}
 		f.run(f.p.net.Now())
 		f.tickLater()
-	})
+	}, nil)
 }
 
 // run is the flow tick: prune dead child state, drain paced queues,

@@ -58,7 +58,7 @@ type AliveAtFunc func(id NodeID, at float64) bool
 // the control/data counters behind the paper's overhead metric, in the
 // Counters struct it shares with the live transports.
 type Router struct {
-	u underlay.Keyed
+	u underlay.Underlay
 
 	// CtrlLossProb, when positive, drops each control message with this
 	// probability — fault injection for protocol-robustness tests. The
@@ -92,7 +92,7 @@ type xdelivery struct {
 // NewRouter builds the network over u with one shard per event queue in
 // sims. aliveAt is the membership timeline remote liveness checks consult;
 // it is never called with a single shard and may then be nil.
-func NewRouter(u underlay.Keyed, drawSeed int64, sims []*eventq.Sim, aliveAt AliveAtFunc) *Router {
+func NewRouter(u underlay.Underlay, drawSeed int64, sims []*eventq.Sim, aliveAt AliveAtFunc) *Router {
 	r := &Router{
 		u:        u,
 		drawSeed: drawSeed,
@@ -112,7 +112,7 @@ func NewRouter(u underlay.Keyed, drawSeed int64, sims []*eventq.Sim, aliveAt Ali
 // NewNetwork builds a one-shard network over u driven by sim and returns
 // its bus: every node registers there. Protocol tests and benchmarks use
 // it to run peers on a plain discrete-event network.
-func NewNetwork(sim *eventq.Sim, u underlay.Keyed, drawSeed int64) *Network {
+func NewNetwork(sim *eventq.Sim, u underlay.Underlay, drawSeed int64) *Network {
 	return NewRouter(u, drawSeed, []*eventq.Sim{sim}, nil).Net(0)
 }
 
@@ -212,6 +212,9 @@ type Network struct {
 	// freeDel recycles delivery records: every Send schedules one, so
 	// without reuse delivery closures dominate a session's allocations.
 	freeDel *delivery
+	// deliveries counts delivery events fired on this shard, dropped
+	// ones included; every other event on the shard's queue is a timer.
+	deliveries uint64
 
 	// adj backs the children/fosters sets of every peer on this shard
 	// (see AdjPool): one shared chunk slab instead of two maps per peer.
@@ -231,9 +234,8 @@ var _ Bus = (*Network)(nil)
 // at a barrier.
 func (n *Network) SetSendProbe(p SendProbe) { n.probe = p }
 
-// delivery is one in-flight message, scheduled via the event queue's
-// arg-carrying form so the hot send path allocates nothing in steady
-// state.
+// delivery is one in-flight message, the recycled argument of its
+// delivery event, so the hot send path allocates nothing in steady state.
 type delivery struct {
 	net      *Network
 	from, to NodeID
@@ -247,6 +249,7 @@ type delivery struct {
 func deliver(a any) {
 	d := a.(*delivery)
 	n, from, to, m := d.net, d.from, d.to, d.m
+	n.deliveries++
 	d.m = nil
 	d.next = n.freeDel
 	n.freeDel = d
@@ -266,8 +269,14 @@ func (n *Network) scheduleDelivery(at float64, from, to NodeID, m Message) {
 		del.next = nil
 	}
 	del.from, del.to, del.m = from, to, m
-	n.Sim.AtArg(at, deliver, del)
+	n.Sim.At(at, deliver, del)
 }
+
+// Deliveries reports how many message deliveries have fired on this
+// shard, including those dropped because the destination had left. The
+// engine profiler splits the queue's events into deliveries and timers
+// with it.
+func (n *Network) Deliveries() uint64 { return n.deliveries }
 
 // AdjPool returns the shard-local adjacency slab peers on this bus store
 // their children/fosters in.
@@ -318,13 +327,8 @@ func (n *Network) isAlive(id NodeID, shard int) bool {
 // Now returns the shard's virtual time in seconds.
 func (n *Network) Now() float64 { return n.Sim.Now() }
 
-// After schedules fn on this shard d virtual seconds from now.
-func (n *Network) After(d float64, fn func()) { n.Sim.After(d, fn) }
-
-// AfterArg schedules fn(arg) through the shard queue's recycled
-// arg-carrying events (see ArgBus). It uses the timer-classified form so
-// the engine profiler's delivery-vs-timer split stays truthful.
-func (n *Network) AfterArg(d float64, fn func(any), arg any) { n.Sim.AfterTimer(d, fn, arg) }
+// After schedules fn(arg) on this shard d virtual seconds from now.
+func (n *Network) After(d float64, fn func(any), arg any) { n.Sim.After(d, fn, arg) }
 
 // Counters returns the router's shared traffic counters.
 func (n *Network) Counters() *Counters { return &n.r.ctrs }

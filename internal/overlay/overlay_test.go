@@ -508,7 +508,7 @@ func TestApplyConnectStatsAndReconnect(t *testing.T) {
 	r.sim.Run(1) // t = 1
 
 	b.MarkJoinStart()
-	r.sim.At(2, func() { b.ApplyConnect(0, 20, []NodeID{}) })
+	r.sim.At(2, func(any) { b.ApplyConnect(0, 20, []NodeID{}) }, nil)
 	r.sim.Run(3)
 	st := b.Stats()
 	if st.Startup != 1 {
@@ -519,8 +519,8 @@ func TestApplyConnectStatsAndReconnect(t *testing.T) {
 	}
 
 	// Orphaned at t=5, reconnected at t=7.
-	r.sim.At(5, func() { b.HandleMessage(0, LeaveNotify{GrandparentHint: None}) })
-	r.sim.At(7, func() { b.ApplyConnect(0, 20, []NodeID{}) })
+	r.sim.At(5, func(any) { b.HandleMessage(0, LeaveNotify{GrandparentHint: None}) }, nil)
+	r.sim.At(7, func(any) { b.ApplyConnect(0, 20, []NodeID{}) }, nil)
 	r.sim.Run(8)
 	if len(st.Reconnects) != 1 || st.Reconnects[0] != 2 {
 		t.Fatalf("reconnects %v, want [2]", st.Reconnects)

@@ -96,13 +96,7 @@ func (p *Peer) EnableStatusReports(periodS float64) {
 	p.scheduleStatus()
 }
 
-func (p *Peer) scheduleStatus() {
-	if p.argBus != nil {
-		p.argBus.AfterArg(p.statusPeriodS, statusTick, p)
-		return
-	}
-	p.net.After(p.statusPeriodS, func() { statusTick(p) })
-}
+func (p *Peer) scheduleStatus() { p.net.After(p.statusPeriodS, statusTick, p) }
 
 // statusTick is the shared ticker callback (arg: *Peer).
 func statusTick(a any) {

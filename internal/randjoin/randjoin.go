@@ -90,11 +90,11 @@ func (n *Node) sendInfo(js *joinState, target overlay.NodeID) {
 	js.token = n.token
 	n.Net().Send(n.ID(), target, overlay.InfoRequest{Token: js.token})
 	tok := js.token
-	n.Net().After(n.InfoTimeoutS, func() {
+	n.Net().After(n.InfoTimeoutS, func(any) {
 		if n.join == js && !js.awaitConn && js.token == tok {
 			n.restart(js)
 		}
-	})
+	}, nil)
 }
 
 // HandleProtocol advances the walk.
@@ -124,11 +124,11 @@ func (n *Node) HandleProtocol(from overlay.NodeID, m overlay.Message) {
 		js.token = n.token
 		n.Net().Send(n.ID(), from, overlay.ConnRequest{Token: js.token, Kind: overlay.ConnChild, Dist: 0})
 		tok := js.token
-		n.Net().After(n.ConnTimeoutS, func() {
+		n.Net().After(n.ConnTimeoutS, func(any) {
 			if n.join == js && js.awaitConn && js.token == tok {
 				n.restart(js)
 			}
-		})
+		}, nil)
 	case overlay.ConnResponse:
 		if !js.awaitConn || js.token != msg.Token || js.target != from {
 			return
@@ -150,11 +150,11 @@ func (n *Node) restart(js *joinState) {
 	attempts := js.attempts + 1
 	n.join = nil
 	if attempts >= n.cfg.MaxAttempts {
-		n.Net().After(n.cfg.RetryBackoffS, func() {
+		n.Net().After(n.cfg.RetryBackoffS, func(any) {
 			if n.Alive() && !n.Connected() && n.join == nil {
 				n.begin(js.reconnect, 0)
 			}
-		})
+		}, nil)
 		return
 	}
 	n.begin(js.reconnect, attempts)

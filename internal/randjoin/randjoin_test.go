@@ -28,7 +28,7 @@ func TestAllNodesConnect(t *testing.T) {
 	r, nodes := newRig(t, 20, 3)
 	for i := 1; i < 20; i++ {
 		id := overlay.NodeID(i)
-		r.Sim.At(float64(i)*5, func() { nodes[id].StartJoin() })
+		r.Sim.At(float64(i)*5, func(any) { nodes[id].StartJoin() }, nil)
 	}
 	r.Run(300)
 	for i := 1; i < 20; i++ {
@@ -53,7 +53,7 @@ func TestDegreeRespected(t *testing.T) {
 	r, nodes := newRig(t, 15, 2)
 	for i := 1; i < 15; i++ {
 		id := overlay.NodeID(i)
-		r.Sim.At(float64(i)*5, func() { nodes[id].StartJoin() })
+		r.Sim.At(float64(i)*5, func(any) { nodes[id].StartJoin() }, nil)
 	}
 	r.Run(300)
 	for id, n := range nodes {
@@ -67,7 +67,7 @@ func TestOrphanRejoins(t *testing.T) {
 	r, nodes := newRig(t, 6, 1) // degree 1 forces a chain
 	for i := 1; i < 6; i++ {
 		id := overlay.NodeID(i)
-		r.Sim.At(float64(i)*5, func() { nodes[id].StartJoin() })
+		r.Sim.At(float64(i)*5, func(any) { nodes[id].StartJoin() }, nil)
 	}
 	r.Run(200)
 	// Find a mid-chain node with a child and remove it.
@@ -83,7 +83,7 @@ func TestOrphanRejoins(t *testing.T) {
 	}
 	child := nodes[victim].ChildIDs()[0]
 	now := r.Sim.Now()
-	r.Sim.At(now+1, func() { nodes[victim].Leave() })
+	r.Sim.At(now+1, func(any) { nodes[victim].Leave() }, nil)
 	r.Run(now + 60)
 	if !nodes[child].Connected() {
 		t.Fatalf("orphan %d never rejoined", child)

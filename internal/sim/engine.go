@@ -214,7 +214,7 @@ type session struct {
 
 	// sink is the trace sink spawns use (lock-wrapped across shards).
 	sink obs.Sink
-	// scnFires and tick are the arg-carrying event slabs of the join-storm
+	// scnFires and tick are the event-argument slabs of the join-storm
 	// flattening: one record per scenario event and a single mutated
 	// ticker record, instead of a closure per event.
 	scnFires []scnFire
@@ -283,13 +283,13 @@ func Run(cfg Config) (*Result, error) {
 	// Equal-time events on one shard keep this schedule order.
 	s.spawn(s.router.Net(0), 0, 0)
 	s.tick = dataTick{s: s, sim: sims[0]}
-	sims[0].AtTimer(0, dataTickRun, &s.tick)
+	sims[0].At(0, dataTickRun, &s.tick)
 	s.scnFires = make([]scnFire, len(plan.events))
 	for i := range plan.events {
 		pe := &plan.events[i]
 		sh := s.router.ShardOf(overlay.NodeID(pe.ev.Slot))
 		s.scnFires[i] = scnFire{s: s, net: s.router.Net(sh), pe: pe}
-		sims[sh].AtTimer(pe.ev.T, scnFireRun, &s.scnFires[i])
+		sims[sh].At(pe.ev.T, scnFireRun, &s.scnFires[i])
 	}
 	for _, q := range sims {
 		q.SetSeqBase(runtimeSeqBase)
@@ -336,7 +336,7 @@ func dataTickRun(a any) {
 		src.Base().EmitChunk(t.seq)
 	}
 	t.seq++
-	t.sim.AfterTimer(t.s.dataDT, dataTickRun, t)
+	t.sim.After(t.s.dataDT, dataTickRun, t)
 }
 
 // scnFire carries one planned scenario event to its owning shard.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"time"
 
-	"vdm/internal/eventq"
 	"vdm/internal/obs/simprof"
 	"vdm/internal/overlay"
 	"vdm/internal/scenario"
@@ -105,13 +104,15 @@ func newSessionRecorder(cfg Config, scn *scenario.Scenario, shards int, lookahea
 	}, shards)
 }
 
-// queueState snapshots one event queue for a profiler flush.
-func queueState(q *eventq.Sim) simprof.ShardState {
+// shardState snapshots one shard's event queue and bus for a profiler
+// flush.
+func shardState(net *overlay.Network) simprof.ShardState {
+	q := net.Sim
 	return simprof.ShardState{
-		Processed:    q.Processed(),
-		ProcessedArg: q.ProcessedArg(),
-		Queue:        q.Pending(),
-		Free:         q.FreeLen(),
+		Processed:  q.Processed(),
+		Deliveries: net.Deliveries(),
+		Queue:      q.Pending(),
+		Free:       q.FreeLen(),
 	}
 }
 
@@ -279,8 +280,8 @@ func (sp *shardProf) maybeFlush(ss *session, t float64, force bool) {
 	if sp == nil || (!force && !sp.rec.Due(t)) {
 		return
 	}
-	for i, w := range ss.workers {
-		sp.states[i] = queueState(w.sim)
+	for i := range ss.workers {
+		sp.states[i] = shardState(ss.router.Net(i))
 	}
 	sp.rec.Flush(t, sp.states, func() simprof.Proto {
 		return protoSample(ss.views(), ss.allByMem, ss.u)

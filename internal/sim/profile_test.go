@@ -84,6 +84,37 @@ func TestProfiledRunsAreByteIdentical(t *testing.T) {
 	}
 }
 
+// TestProfiledEventCountsPinned pins the flight recorder's event ledger
+// for a small fixed-seed session: the total events, and their split into
+// message deliveries (counted by the bus that owns them) and timers.
+// Every shard count must see the same totals.
+func TestProfiledEventCountsPinned(t *testing.T) {
+	const wantEvents, wantDeliveries, wantTimers = 21786, 17458, 4328
+	for _, shards := range []int{1, 4} {
+		cfg := parityConfigs()["ch3-churn"]
+		cfg.Shards = shards
+		var buf bytes.Buffer
+		cfg.Profile = &simprof.Options{W: &buf, EveryS: 50}
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := simprof.Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events, deliveries, timers uint64
+		for _, r := range rec.Records {
+			events += r.Events
+			deliveries += r.Deliveries
+			timers += r.Timers
+		}
+		if events != wantEvents || deliveries != wantDeliveries || timers != wantTimers {
+			t.Fatalf("shards=%d: events/deliveries/timers = %d/%d/%d, want %d/%d/%d",
+				shards, events, deliveries, timers, wantEvents, wantDeliveries, wantTimers)
+		}
+	}
+}
+
 // TestObserverBoundariesCutBarriers pins the barrier cadence of the
 // observers at S=1, where the lookahead is unbounded and the controller
 // would otherwise stop only at measurements: a Progress callback lands on

@@ -328,7 +328,7 @@ func routerCacheBudgets(numRouters int) (spts, pathLoss int) {
 	return spts, pathLoss
 }
 
-func buildUnderlay(cfg Config, pool int) (underlay.Keyed, error) {
+func buildUnderlay(cfg Config, pool int) (underlay.Underlay, error) {
 	switch cfg.Underlay {
 	case Router:
 		ts, err := topology.GenerateTransitStub(
@@ -351,7 +351,7 @@ func buildUnderlay(cfg Config, pool int) (underlay.Keyed, error) {
 		// Keyed jitter: the draw for a send depends on the edge and the
 		// sender's send count, not on global send order, so runs see
 		// identical delays at every shard count.
-		u.WithKeyedJitter(rng.DeriveSeed(cfg.Seed, "routerjitter"), sigma)
+		u.WithLogNormalJitter(rng.DeriveSeed(cfg.Seed, "routerjitter"), sigma)
 		return u, nil
 	case Geo:
 		if cfg.GeoModel != nil && cfg.GeoSites != nil {

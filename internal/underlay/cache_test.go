@@ -55,10 +55,10 @@ func TestCacheBudgetBoundsResidency(t *testing.T) {
 	}
 }
 
-// TestKeyedJitterBounds checks the conservative-lookahead contract: every
-// keyed delivery delay respects the advertised minimum.
-func TestKeyedJitterBounds(t *testing.T) {
-	u := budgetTestUnderlay(t, 0, 0).WithKeyedJitter(99, 0.1)
+// TestJitteredDelayBounds checks the conservative-lookahead contract:
+// every keyed delivery delay respects the advertised minimum.
+func TestJitteredDelayBounds(t *testing.T) {
+	u := budgetTestUnderlay(t, 0, 0).WithLogNormalJitter(99, 0.1)
 	min := u.MinOneWayDelayMS()
 	if min <= 0 {
 		t.Fatalf("MinOneWayDelayMS = %v, want > 0", min)

@@ -98,13 +98,10 @@ func (t *lossTable) reset() {
 // attachment router and cached; WithCacheBudget bounds both caches so a
 // very large topology cannot hold every tree and path-loss entry at once.
 //
-// The deterministic query methods (BaseRTT, LossRate, PathLinks, and the
-// accessors) are safe for concurrent use: the lazy SPT and path-loss
-// caches are guarded so one underlay can back many concurrent sessions
-// without duplicating Dijkstra work. The stream-jitter measurement
-// methods (WithJitter) draw from a single random stream and must stay
-// within one session's event loop; the keyed-jitter mode (WithKeyedJitter)
-// is safe for concurrent use and is what the simulator requires.
+// Every query method is safe for concurrent use: the lazy SPT and
+// path-loss caches are guarded so one underlay can back many concurrent
+// sessions (or shards) without duplicating Dijkstra work, and jitter
+// (WithLogNormalJitter) is keyed rather than drawn from a shared stream.
 type RouterUnderlay struct {
 	g      *topology.Graph
 	attach []topology.RouterID // host -> router
@@ -125,41 +122,28 @@ type RouterUnderlay struct {
 	pathLossBudget int
 	sptClock       atomic.Uint64
 
-	// Measurement jitter: application-level pings observe queueing and
-	// processing variation on top of propagation delay.
-	jitterRnd   *rng.Stream
+	// Jitter: application-level pings and message deliveries observe
+	// queueing and processing variation on top of propagation delay,
+	// drawn keyed under jitterSeed (see Underlay). RTT measurements key
+	// on a per-pair counter — each pair is only ever probed from one
+	// peer's event loop at a time, but the table itself needs a lock
+	// under concurrent shards.
 	jitterSigma float64
-
-	// Keyed jitter (see KeyedJitter): pure-function draws replace the
-	// shared stream. RTT measurements key on a per-pair counter — each
-	// pair is only ever probed from one peer's event loop at a time, but
-	// the map itself needs a lock under concurrent shards.
-	keyed     bool
-	keyedSeed int64
-	rttMu     sync.Mutex
-	rttDraws  rng.CounterTable
+	jitterSeed  int64
+	rttMu       sync.Mutex
+	rttDraws    rng.CounterTable
 }
 
-// WithJitter makes RTT *measurements* (not deliveries or base values)
-// vary lognormally around the propagation RTT, modeling the queueing and
-// cross-traffic variation real probes see.
-func (u *RouterUnderlay) WithJitter(rnd *rng.Stream, sigma float64) *RouterUnderlay {
-	u.jitterRnd = rnd
+// WithLogNormalJitter makes RTT measurements and message deliveries (not
+// base values) vary lognormally with the given sigma around the
+// propagation delay, modeling the queueing and cross-traffic variation
+// real probes see. Draws are keyed under seed: their values depend only
+// on each sender's own send count per edge, so executions at every shard
+// count observe identical delays. Without it the underlay is
+// jitter-free.
+func (u *RouterUnderlay) WithLogNormalJitter(seed int64, sigma float64) *RouterUnderlay {
+	u.jitterSeed = seed
 	u.jitterSigma = sigma
-	u.keyed = false
-	return u
-}
-
-// WithKeyedJitter switches measurement and delivery jitter to keyed
-// draws under the given seed (sigma ≤ 0 means jitter-free but still
-// keyed-deterministic). This is the mode the simulator uses: draw values
-// depend only on each sender's own send count per edge, so executions at
-// every shard count observe identical delays.
-func (u *RouterUnderlay) WithKeyedJitter(seed int64, sigma float64) *RouterUnderlay {
-	u.keyed = true
-	u.keyedSeed = seed
-	u.jitterSigma = sigma
-	u.jitterRnd = nil
 	return u
 }
 
@@ -181,7 +165,6 @@ func (u *RouterUnderlay) CacheStats() (spts, pathLoss int) {
 }
 
 var _ Underlay = (*RouterUnderlay)(nil)
-var _ KeyedJitter = (*RouterUnderlay)(nil)
 
 // NewRouter attaches hosts to the given routers of graph g.
 func NewRouter(g *topology.Graph, attach []topology.RouterID) *RouterUnderlay {
@@ -272,44 +255,26 @@ func (u *RouterUnderlay) BaseRTT(a, b int) float64 { return 2 * u.oneWay(a, b) }
 func pairKey(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
 
 // RTT returns one round-trip-time measurement, with lognormal jitter when
-// configured.
+// configured: the pair's next keyed draw.
 func (u *RouterUnderlay) RTT(a, b int) float64 {
 	base := u.BaseRTT(a, b)
 	if u.jitterSigma <= 0 {
 		return base
 	}
-	if u.keyed {
-		u.rttMu.Lock()
-		n := u.rttDraws.Next(pairKey(a, b))
-		u.rttMu.Unlock()
-		return base * rng.KeyedLogNormal(u.keyedSeed, uint64(uint32(a)), uint64(uint32(b)), keyedStreamRTT, n, 0, u.jitterSigma)
-	}
-	if u.jitterRnd == nil {
-		return base
-	}
-	return base * u.jitterRnd.LogNormal(0, u.jitterSigma)
-}
-
-// OneWayDelayMS returns the message delivery delay in ms, with queueing
-// jitter when configured (this is what makes probe measurements noisy:
-// probes time actual message exchanges). In keyed mode this returns the
-// jitter-free delay; keyed callers pass their draw index to
-// OneWayDelayMSKeyed instead.
-func (u *RouterUnderlay) OneWayDelayMS(a, b int) float64 {
-	d := u.oneWay(a, b)
-	if u.jitterRnd == nil || u.jitterSigma <= 0 {
-		return d
-	}
-	return d * u.jitterRnd.LogNormal(0, u.jitterSigma)
+	u.rttMu.Lock()
+	n := u.rttDraws.Next(pairKey(a, b))
+	u.rttMu.Unlock()
+	return base * rng.KeyedLogNormal(u.jitterSeed, uint64(uint32(a)), uint64(uint32(b)), keyedStreamRTT, n, 0, u.jitterSigma)
 }
 
 // OneWayDelayMSKeyed returns the delivery delay for draw number `draw` on
 // edge a→b: jitter is a pure function of (seed, edge, draw), never below
-// MinOneWayDelayMS for distinct hosts.
+// MinOneWayDelayMS for distinct hosts. Jitter here is what makes probe
+// measurements noisy: probes time actual message exchanges.
 func (u *RouterUnderlay) OneWayDelayMSKeyed(a, b int, draw uint64) float64 {
 	d := u.oneWay(a, b)
-	if u.keyed && u.jitterSigma > 0 {
-		d *= rng.KeyedLogNormal(u.keyedSeed, uint64(uint32(a)), uint64(uint32(b)), keyedStreamDelay, draw, 0, u.jitterSigma)
+	if u.jitterSigma > 0 {
+		d *= rng.KeyedLogNormal(u.jitterSeed, uint64(uint32(a)), uint64(uint32(b)), keyedStreamDelay, draw, 0, u.jitterSigma)
 	}
 	if d < MinDelayFloorMS {
 		d = MinDelayFloorMS
@@ -322,7 +287,7 @@ func (u *RouterUnderlay) OneWayDelayMSKeyed(a, b int, draw uint64) float64 {
 // one router: both access links) scaled by the clamped jitter minimum.
 func (u *RouterUnderlay) MinOneWayDelayMS() float64 {
 	min := 2 * hostAccessMS
-	if u.keyed && u.jitterSigma > 0 {
+	if u.jitterSigma > 0 {
 		min *= math.Exp(-rng.NormalClamp * u.jitterSigma)
 	}
 	if min < MinDelayFloorMS {

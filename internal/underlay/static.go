@@ -7,12 +7,11 @@ import "vdm/internal/topology"
 // model. Protocol tests use it to place peers at exact virtual distances;
 // library users can use it to replay measured RTT datasets.
 type Static struct {
-	RTTms  [][]float64
-	LossP  [][]float64
-	Jitter func(a, b int, baseMS float64) float64 // optional RTT noise
+	RTTms [][]float64
+	LossP [][]float64
 }
 
-var _ Keyed = (*Static)(nil)
+var _ Underlay = (*Static)(nil)
 
 // NewStatic builds a static underlay from a symmetric RTT matrix.
 func NewStatic(rtt [][]float64) *Static { return &Static{RTTms: rtt} }
@@ -31,23 +30,14 @@ func (s *Static) BaseRTT(a, b int) float64 {
 	return s.RTTms[a][b]
 }
 
-// RTT returns one measurement, with optional jitter applied.
-func (s *Static) RTT(a, b int) float64 {
-	base := s.BaseRTT(a, b)
-	if s.Jitter != nil {
-		return s.Jitter(a, b, base)
-	}
-	return base
-}
+// RTT returns the matrix entry: a static underlay has no jitter.
+func (s *Static) RTT(a, b int) float64 { return s.BaseRTT(a, b) }
 
-// OneWayDelayMS returns half the (possibly jittered) RTT.
-func (s *Static) OneWayDelayMS(a, b int) float64 { return s.RTT(a, b) / 2 }
-
-// OneWayDelayMSKeyed is OneWayDelayMS floored at MinDelayFloorMS between
-// distinct hosts: the matrix draws no jitter for the index to key (a
-// Jitter function supplies its own).
+// OneWayDelayMSKeyed returns half the RTT, floored at MinDelayFloorMS
+// between distinct hosts: the matrix draws no jitter for the index to
+// key.
 func (s *Static) OneWayDelayMSKeyed(a, b int, draw uint64) float64 {
-	d := s.OneWayDelayMS(a, b)
+	d := s.BaseRTT(a, b) / 2
 	if a != b && d < MinDelayFloorMS {
 		d = MinDelayFloorMS
 	}

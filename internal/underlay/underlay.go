@@ -10,6 +10,14 @@ import "vdm/internal/topology"
 
 // Underlay models the network between overlay hosts. Hosts are identified
 // by dense integer ids assigned by the session that built the underlay.
+//
+// Every random draw an underlay makes (RTT measurement jitter, delivery
+// jitter, think time) is keyed: a pure function of the underlay's seed,
+// the host pair and a per-pair draw index, rather than the next value of a
+// shared sequential stream. Keyed draws make delay values independent of
+// global event interleaving (each sender advances its own draw counters),
+// and the guaranteed minimum delivery delay is the multi-shard engine's
+// conservative lookahead.
 type Underlay interface {
 	// NumHosts reports how many hosts are attached.
 	NumHosts() int
@@ -23,9 +31,13 @@ type Underlay interface {
 	// used by metric collectors.
 	BaseRTT(a, b int) float64
 
-	// OneWayDelayMS returns the delivery delay for a single message from
-	// a to b in milliseconds (may include jitter).
-	OneWayDelayMS(a, b int) float64
+	// OneWayDelayMSKeyed returns the delivery delay in milliseconds of
+	// message number draw on edge a→b, jitter included.
+	OneWayDelayMSKeyed(a, b int, draw uint64) float64
+
+	// MinOneWayDelayMS returns a hard lower bound (> 0) on
+	// OneWayDelayMSKeyed over all host pairs a ≠ b and draws.
+	MinOneWayDelayMS() float64
 
 	// LossRate returns the end-to-end per-packet loss probability a→b.
 	LossRate(a, b int) float64
@@ -40,33 +52,11 @@ type Underlay interface {
 	NumLinks() int
 }
 
-// MinDelayFloorMS is the smallest one-way delivery delay a keyed underlay
+// MinDelayFloorMS is the smallest one-way delivery delay an underlay
 // reports. Conservative shard synchronization needs a strictly positive
 // lower bound on cross-shard message latency; 10 µs is far below any
 // modeled path, so the floor only exists to keep the bound positive.
 const MinDelayFloorMS = 0.01
-
-// KeyedJitter is the capability the simulated overlay network requires of
-// an underlay: delivery jitter drawn as a pure function of the edge and a
-// caller-supplied draw index, rather than from a shared sequential stream.
-// Keyed draws make delay values independent of global event interleaving
-// (each sender advances its own draw counters), and the guaranteed
-// minimum delay is the multi-shard engine's conservative lookahead.
-type KeyedJitter interface {
-	// OneWayDelayMSKeyed is OneWayDelayMS with the jitter decided by the
-	// draw index instead of stream order.
-	OneWayDelayMSKeyed(a, b int, draw uint64) float64
-	// MinOneWayDelayMS returns a hard lower bound (> 0) on
-	// OneWayDelayMSKeyed over all host pairs a ≠ b and draws.
-	MinOneWayDelayMS() float64
-}
-
-// Keyed is an underlay with keyed jitter: what the simulated overlay
-// network delivers over. All three implementations qualify.
-type Keyed interface {
-	Underlay
-	KeyedJitter
-}
 
 // Stream ids for keyed draws, shared by the underlay implementations.
 // Each (seed, edge, stream, draw) tuple is an independent value, so the

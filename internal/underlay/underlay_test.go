@@ -44,9 +44,9 @@ func TestRouterRTTIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestRouterWithJitter(t *testing.T) {
+func TestRouterWithLogNormalJitter(t *testing.T) {
 	u, _ := routerFixture(t, 10)
-	u.WithJitter(rng.New(9), 0.1)
+	u.WithLogNormalJitter(9, 0.1)
 	base := u.BaseRTT(1, 2)
 	sum, n := 0.0, 400
 	varied := false
@@ -70,17 +70,32 @@ func TestRouterWithJitter(t *testing.T) {
 	if u.BaseRTT(1, 2) != base {
 		t.Fatal("BaseRTT affected by jitter")
 	}
-	// Deliveries are jittered too (probes time real messages).
+	// Deliveries are jittered too (probes time real messages), and a
+	// delay is a pure function of the draw index.
 	ow := u.oneWay(1, 2)
 	variedOW := false
-	for i := 0; i < 100; i++ {
-		if u.OneWayDelayMS(1, 2) != ow {
+	for draw := uint64(0); draw < 100; draw++ {
+		d := u.OneWayDelayMSKeyed(1, 2, draw)
+		if d != ow {
 			variedOW = true
-			break
+		}
+		if again := u.OneWayDelayMSKeyed(1, 2, draw); again != d {
+			t.Fatalf("delay for draw %d changed on a second query: %v then %v", draw, d, again)
 		}
 	}
 	if !variedOW {
 		t.Fatal("one-way delay constant despite jitter")
+	}
+	// Same seed, same draws: equal-seeded underlays replay the same RTT
+	// samples.
+	x, _ := routerFixture(t, 10)
+	x.WithLogNormalJitter(9, 0.1)
+	y, _ := routerFixture(t, 10)
+	y.WithLogNormalJitter(9, 0.1)
+	for i := 0; i < 10; i++ {
+		if a, b := x.RTT(1, 2), y.RTT(1, 2); a != b {
+			t.Fatalf("RTT sample %d differs between equal-seeded underlays: %v vs %v", i, a, b)
+		}
 	}
 }
 
@@ -169,7 +184,7 @@ func geoFixture(t *testing.T) *GeoUnderlay {
 	t.Helper()
 	m := geo.Generate(geo.DefaultConfig(), rng.New(4))
 	sites := m.USSites()[:40]
-	return NewGeo(m, sites, rng.New(5))
+	return NewGeoKeyed(m, sites, 5)
 }
 
 func TestGeoRTTJittersAroundBase(t *testing.T) {
@@ -215,8 +230,8 @@ func TestStaticUnderlay(t *testing.T) {
 	if s.NumHosts() != 3 || s.BaseRTT(0, 2) != 20 || s.RTT(1, 2) != 30 {
 		t.Fatal("static matrix not honoured")
 	}
-	if s.OneWayDelayMS(0, 1) != 5 {
-		t.Fatalf("one-way = %v", s.OneWayDelayMS(0, 1))
+	if s.OneWayDelayMSKeyed(0, 1, 0) != 5 {
+		t.Fatalf("one-way = %v", s.OneWayDelayMSKeyed(0, 1, 0))
 	}
 	if s.LossRate(0, 1) != 0 {
 		t.Fatal("loss without matrix should be 0")
@@ -224,9 +239,5 @@ func TestStaticUnderlay(t *testing.T) {
 	s.LossP = [][]float64{{0, 0.1, 0}, {0.1, 0, 0}, {0, 0, 0}}
 	if s.LossRate(0, 1) != 0.1 {
 		t.Fatal("loss matrix not honoured")
-	}
-	s.Jitter = func(a, b int, base float64) float64 { return base * 2 }
-	if s.RTT(0, 1) != 20 || s.BaseRTT(0, 1) != 10 {
-		t.Fatal("jitter hook not applied to RTT only")
 	}
 }
