@@ -82,9 +82,9 @@ func TestSetSeqBaseOnlyRaises(t *testing.T) {
 	}
 }
 
-// TestFreeListShrinksAfterSpike pins the fix for unbounded free-list
-// retention: a burst that grows the heap must not pin its high-water mark
-// of recycled events for the rest of the run.
+// TestFreeListShrinksAfterSpike pins the fix for unbounded slab
+// retention: a burst that grows the queue must not pin its high-water mark
+// of free record slots for the rest of the run.
 func TestFreeListShrinksAfterSpike(t *testing.T) {
 	s := New()
 	const spike = 50000
@@ -93,11 +93,14 @@ func TestFreeListShrinksAfterSpike(t *testing.T) {
 	}
 	s.Run(math.Inf(1))
 	if got := s.FreeLen(); got > DefaultFreeSlack {
-		t.Fatalf("free list holds %d events after the spike drained, want ≤ %d", got, DefaultFreeSlack)
+		t.Fatalf("slab holds %d free slots after the spike drained, want ≤ %d", got, DefaultFreeSlack)
+	}
+	if got := cap(s.recs); got > DefaultFreeSlack {
+		t.Fatalf("slab keeps room for %d records after the spike drained, want ≤ %d", got, DefaultFreeSlack)
 	}
 
-	// Steady state afterwards still reuses events rather than allocating:
-	// a self-rescheduling chain keeps the list near its small cushion.
+	// Steady state afterwards still reuses slots rather than allocating:
+	// a self-rescheduling chain keeps the stack near its small cushion.
 	n := 0
 	var tick func(any)
 	tick = func(any) {
@@ -109,6 +112,59 @@ func TestFreeListShrinksAfterSpike(t *testing.T) {
 	s.After(1, tick, nil)
 	s.Run(math.Inf(1))
 	if got := s.FreeLen(); got > DefaultFreeSlack {
-		t.Fatalf("free list grew to %d in steady state, want ≤ %d", got, DefaultFreeSlack)
+		t.Fatalf("free slots grew to %d in steady state, want ≤ %d", got, DefaultFreeSlack)
+	}
+}
+
+// TestCompactionKeepsPendingEvents runs compaction while events are still
+// queued — mid-band at the periodic check and again at the end of the band
+// — and checks every event still fires once, in (at, seq) order, with its
+// own argument.
+func TestCompactionKeepsPendingEvents(t *testing.T) {
+	s := New()
+	const spike, late = 10000, 300
+	var got []int
+	midBand := false
+	record := func(arg any) {
+		id := *arg.(*int)
+		if id == spike-1 {
+			midBand = len(s.recs) < spike && s.Pending() == late
+		}
+		got = append(got, id)
+	}
+	for i := 0; i < spike; i++ {
+		i := i
+		s.At(float64(i), record, &i)
+	}
+	// The late events share three instants, so their order rests on seq.
+	for j := 0; j < late; j++ {
+		id := spike + j
+		s.At(1e6+float64(j%3), record, &id)
+	}
+	s.Run(spike)
+	if !midBand {
+		t.Fatal("no compaction ran mid-band while events were pending")
+	}
+	if len(s.recs) != late || s.FreeLen() != 0 {
+		t.Fatalf("slab not compacted: %d records, %d free slots, want %d and 0", len(s.recs), s.FreeLen(), late)
+	}
+	s.Run(math.Inf(1))
+
+	var want []int
+	for i := 0; i < spike; i++ {
+		want = append(want, i)
+	}
+	for r := 0; r < 3; r++ {
+		for j := r; j < late; j += 3 {
+			want = append(want, spike+j)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d fired as id %d, want %d", i, got[i], want[i])
+		}
 	}
 }

@@ -8,47 +8,42 @@
 // There is one scheduling form: a static callback plus an argument,
 // fn(arg). Hot callers (message delivery, protocol timeouts, periodic
 // ticks) pass a package-level function and a recycled record, so a
-// steady-state simulation allocates neither closures nor event structs.
+// steady-state simulation allocates neither closures nor queue entries.
 // Callers that need a closure pass func(any){…} and a nil argument.
+//
+// The queue is a 4-ary min-heap of value keys {at, seq, slot} ordered by
+// (at, seq). A key's slot indexes a slab of {fn, arg} records; fired
+// records are cleared and their slots go on a free-slot stack for the next
+// event to reuse. Sifts compare keys in place — no interface calls and no
+// pointer chasing — and a slot never affects the order, so slab
+// compaction (see compact) can renumber slots without moving any event.
 package eventq
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
 
-// event is one scheduled callback fn(arg) at virtual time at.
-type event struct {
+// key is one pending event's place in the heap: its firing time, its
+// tie-breaking sequence number and the slab slot holding its callback.
+type key struct {
 	at   float64
 	seq  uint64
-	fn   func(any)
-	arg  any
-	next *event // free-list link while recycled
+	slot uint32
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// less orders keys by (at, seq); seq is unique, so the order is total.
+func less(a, b key) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// record is the callback fn(arg) of one scheduled event.
+type record struct {
+	fn  func(any)
+	arg any
 }
 
 // Sim is a single-threaded discrete-event simulator.
@@ -56,44 +51,52 @@ func (h *eventHeap) Pop() any {
 type Sim struct {
 	now       float64
 	seq       uint64
-	events    eventHeap
+	heap      []key // 4-ary min-heap: children of i are 4i+1 … 4i+4
 	processed uint64
 
-	// free holds fired events for reuse, so a steady-state simulation
-	// (every fired event schedules a successor) allocates no event
-	// structs after warm-up. Periodic trimming (see trimFree) keeps the
-	// list from pinning the high-water mark of a load spike for the rest
-	// of the run.
-	free    *event
-	freeLen int
+	// recs is the record slab and free the stack of its unused slots, so
+	// a steady-state simulation (every fired event schedules a successor)
+	// allocates nothing after warm-up. Periodic compaction keeps the slab
+	// from pinning the high-water mark of a load spike for the rest of
+	// the run.
+	recs []record
+	free []uint32
 }
 
-// DefaultFreeSlack is how many recycled events the free list may hold
-// beyond the current pending count before trimming releases the excess to
-// the GC. A small cushion avoids alloc/free churn when load oscillates;
+// DefaultFreeSlack is how many free record slots the slab may hold beyond
+// the current pending count before compaction releases the excess to the
+// GC. A small cushion avoids alloc/free churn when load oscillates;
 // anything beyond it is spike residue — which matters after a join storm,
 // when the pending count collapses from its burst peak.
 const DefaultFreeSlack = 256
 
-// trimInterval is how often (in processed events) the run loop checks the
-// free list, as a power-of-two mask.
-const trimInterval = 4096 - 1
+// compactInterval is how often (in processed events) the run loop checks
+// the slab, as a power-of-two mask.
+const compactInterval = 4096 - 1
 
-// trimFree releases free-list entries beyond the pending count plus a
-// slack cushion. Without this, a burst that grows the heap to N pins ~N
-// recycled event structs for the rest of the run.
-func (s *Sim) trimFree() {
-	limit := len(s.events) + DefaultFreeSlack
-	for s.freeLen > limit {
-		e := s.free
-		s.free = e.next
-		e.next = nil
-		s.freeLen--
+// compact moves the pending records into a fresh dense slab with room for
+// DefaultFreeSlack more, rewriting each key's slot, once the free slots
+// exceed the pending count plus that cushion. Without this, a burst that
+// grows the queue to N pins N records, N heap keys and an N-slot free
+// stack for the rest of the run. The heap is rebuilt in the same pass at
+// the same positions: (at, seq) is untouched, so the heap order holds.
+func (s *Sim) compact() {
+	n := len(s.heap)
+	if len(s.free) <= n+DefaultFreeSlack {
+		return
 	}
+	recs := make([]record, n, n+DefaultFreeSlack)
+	h := make([]key, n, n+DefaultFreeSlack)
+	for i, k := range s.heap {
+		recs[i] = s.recs[k.slot]
+		k.slot = uint32(i)
+		h[i] = k
+	}
+	s.recs, s.heap, s.free = recs, h, nil
 }
 
-// FreeLen reports how many recycled events the free list currently holds.
-func (s *Sim) FreeLen() int { return s.freeLen }
+// FreeLen reports how many free record slots the slab currently holds.
+func (s *Sim) FreeLen() int { return len(s.free) }
 
 // New returns an empty simulator with the clock at zero.
 func New() *Sim {
@@ -107,26 +110,84 @@ func (s *Sim) Now() float64 { return s.now }
 func (s *Sim) Processed() uint64 { return s.processed }
 
 // Pending reports how many events are scheduled but not yet fired.
-func (s *Sim) Pending() int { return len(s.events) }
+func (s *Sim) Pending() int { return len(s.heap) }
 
 // At schedules fn(arg) at absolute virtual time t, taking the next
-// sequence number. The event struct comes off the free list when one is
-// there. Scheduling in the past panics: that is always a protocol bug.
+// sequence number. The record takes a free slab slot when one is there.
+// Scheduling in the past or at a NaN time panics: that is always a
+// protocol bug, and a NaN key would break the heap order for every later
+// event.
 func (s *Sim) At(t float64, fn func(any), arg any) {
-	if t < s.now {
+	if !(t >= s.now) {
+		if math.IsNaN(t) {
+			panic("eventq: scheduling at NaN")
+		}
 		panic(fmt.Sprintf("eventq: scheduling at %v before now %v", t, s.now))
 	}
-	e := s.free
-	if e == nil {
-		e = &event{}
+	var slot uint32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.recs[slot] = record{fn, arg}
 	} else {
-		s.free = e.next
-		e.next = nil
-		s.freeLen--
+		slot = uint32(len(s.recs))
+		s.recs = append(s.recs, record{fn, arg})
 	}
 	s.seq++
-	e.at, e.seq, e.fn, e.arg = t, s.seq, fn, arg
-	heap.Push(&s.events, e)
+	s.push(key{t, s.seq, slot})
+}
+
+// push adds k to the heap, sifting the hole at the end up to k's place.
+func (s *Sim) push(k key) {
+	h := append(s.heap, k)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !less(k, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = k
+	s.heap = h
+}
+
+// pop removes the heap's minimum (the heap must not be empty), sifting the
+// hole at the root down to where the last key belongs.
+func (s *Sim) pop() key {
+	h := s.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if less(h[j], h[m]) {
+				m = j
+			}
+		}
+		if !less(h[m], last) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	s.heap = h
+	return top
 }
 
 // After schedules fn(arg) d seconds from now (a negative d means now).
@@ -152,10 +213,10 @@ func (s *Sim) SetSeqBase(base uint64) {
 // NextAt reports the timestamp of the earliest pending event, and whether
 // one exists.
 func (s *Sim) NextAt() (float64, bool) {
-	if len(s.events) == 0 {
+	if len(s.heap) == 0 {
 		return 0, false
 	}
-	return s.events[0].at, true
+	return s.heap[0].at, true
 }
 
 // Run fires events in timestamp order until the queue is empty or the next
@@ -179,29 +240,27 @@ func (s *Sim) RunBefore(t float64) { s.RunBand(t, 0) }
 // This is the one run loop: Run is RunBand(t, MaxUint64) and RunBefore
 // is RunBand(t, 0).
 func (s *Sim) RunBand(t float64, seqBelow uint64) {
-	for len(s.events) > 0 {
-		head := s.events[0]
+	for len(s.heap) > 0 {
+		head := s.heap[0]
 		if head.at > t || (head.at == t && head.seq >= seqBelow) {
 			break
 		}
-		heap.Pop(&s.events)
+		s.pop()
 		s.now = head.at
+		// Free the slot before firing, clearing the record so a free slot
+		// never pins a callback or argument; the callback may then reuse
+		// the slot for the event it schedules.
+		r := s.recs[head.slot]
+		s.recs[head.slot] = record{}
+		s.free = append(s.free, head.slot)
 		s.processed++
-		if s.processed&trimInterval == 0 {
-			s.trimFree()
+		if s.processed&compactInterval == 0 {
+			s.compact()
 		}
-		// Recycle before firing, dropping the callback and argument so a
-		// recycled event never pins them; the callback may then reuse the
-		// struct for the event it schedules.
-		fn, arg := head.fn, head.arg
-		head.fn, head.arg = nil, nil
-		head.next = s.free
-		s.free = head
-		s.freeLen++
-		fn(arg)
+		r.fn(r.arg)
 	}
 	if s.now < t {
 		s.now = t
 	}
-	s.trimFree()
+	s.compact()
 }

@@ -160,15 +160,15 @@ func TestPropertyRandomScheduleSorted(t *testing.T) {
 	}
 }
 
-// TestEventFreeListReuse pins the free-list behavior: once the heap's
-// high-water mark is reached, a schedule/fire cycle recycles event
-// structs instead of allocating.
+// TestEventFreeListReuse pins slot reuse: once the slab's high-water
+// mark is reached, a schedule/fire cycle takes a free record slot instead
+// of allocating.
 func TestEventFreeListReuse(t *testing.T) {
 	s := New()
 	var tick func(any)
 	tick = func(any) { s.After(1, tick, nil) }
 	s.At(0, tick, nil)
-	s.Run(16) // warm up the free list
+	s.Run(16) // warm up the slab and the free-slot stack
 	allocs := testing.AllocsPerRun(100, func() {
 		s.Run(s.Now() + 8)
 	})
@@ -177,16 +177,31 @@ func TestEventFreeListReuse(t *testing.T) {
 	}
 }
 
-// TestFreeListDropsClosure checks a recycled event pins neither the
+// TestFreeListDropsClosure checks a free record slot pins neither the
 // fired callback nor its argument.
 func TestFreeListDropsClosure(t *testing.T) {
 	s := New()
 	s.At(1, func(any) {}, new(int))
 	s.Run(2)
-	if s.free == nil {
-		t.Fatal("fired event not recycled")
+	if len(s.free) == 0 {
+		t.Fatal("fired event's slot not freed")
 	}
-	if s.free.fn != nil || s.free.arg != nil {
-		t.Fatal("recycled event retains its callback or argument")
+	for _, slot := range s.free {
+		if r := s.recs[slot]; r.fn != nil || r.arg != nil {
+			t.Fatal("free record slot retains its callback or argument")
+		}
 	}
+}
+
+func TestSchedulingAtNaNPanics(t *testing.T) {
+	s := New()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic when scheduling at NaN")
+		}
+		if s.Pending() != 0 {
+			t.Fatalf("NaN event entered the queue: %d pending", s.Pending())
+		}
+	}()
+	s.At(math.NaN(), func(any) {}, nil)
 }

@@ -67,7 +67,7 @@ type ShardState struct {
 	Processed  uint64 // events fired so far
 	Deliveries uint64 // message deliveries among them
 	Queue      int    // pending events
-	Free       int    // recycled events on the free list
+	Free       int    // free record slots in the queue's slab
 }
 
 // EngineMetrics are the registry-exported engine counters. All methods on

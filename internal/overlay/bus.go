@@ -22,7 +22,7 @@ type Bus interface {
 	// After schedules fn(arg) to run d seconds from now, serialized with
 	// the owning peer's message handling. Timers that recur per peer
 	// (tickers, join and probe timeouts) pass a package-level fn and a
-	// pointer arg: the simulator recycles its events through a free list,
+	// pointer arg: the simulator reuses free record slots for its events,
 	// so that form allocates nothing per timer even in a join storm.
 	// One-off timers pass a closure and a nil arg.
 	After(d float64, fn func(any), arg any)

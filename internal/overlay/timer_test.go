@@ -23,8 +23,8 @@ func rearmTick(a any) {
 
 // TestBusTimersAllocateNothing pins why timers take a static callback
 // plus a pointer argument: re-arming through the simulated bus allocates
-// nothing once the event free list is warm, so a join storm's hundreds
-// of thousands of timeouts cost no closure each.
+// nothing once the event queue's record slab is warm, so a join storm's
+// hundreds of thousands of timeouts cost no closure each.
 func TestBusTimersAllocateNothing(t *testing.T) {
 	sim := eventq.New()
 	var bus Bus = NewNetwork(sim, underlay.NewStatic([][]float64{{0}}), 1)
@@ -33,7 +33,7 @@ func TestBusTimersAllocateNothing(t *testing.T) {
 		timers[i] = &rearmTimer{bus: bus}
 		bus.After(float64(i)/64, rearmTick, timers[i])
 	}
-	sim.Run(4) // warm up the free list
+	sim.Run(4) // warm up the event queue's slab
 	allocs := testing.AllocsPerRun(100, func() {
 		sim.Run(sim.Now() + 1)
 	})
